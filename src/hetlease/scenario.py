@@ -15,6 +15,7 @@ import csv
 import enum
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -166,16 +167,21 @@ def sn_demand_from_pn(
     traffic: Sequence[TrafficSeries],
     stations: Sequence[BaseStation],
     beta: float,
+    num_slots: int | None = None,
 ) -> np.ndarray:
     """Derive integer RB demand as an occupancy fraction of each SBS.
 
     demand[j][t] = floor(beta * load * rb_capacity); with beta <= 1 the
-    demand can never exceed the station's own block count.
+    demand can never exceed the station's own block count.  The result
+    has shape (number of SBSs, slots); ``num_slots`` gives the slot
+    count when there is no SBS series to take it from.
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError("beta must lie in [0, 1]")
     if len(traffic) != len(stations):
         raise ConfigError("one traffic series per SBS required")
+    if not traffic:
+        return np.zeros((0, num_slots or 0), dtype=np.int64)
     rows = []
     for series, bs in zip(traffic, stations):
         rows.append(np.floor(beta * series.values * bs.rb_capacity).astype(np.int64))
@@ -367,11 +373,43 @@ def _merge_section(defaults: dict, given: dict, path: str) -> dict:
     for key, value in given.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {path}{key!r}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
+        if isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {path}{key} must be a mapping")
             merged[key] = _merge_section(defaults[key], value, f"{path}{key}.")
         else:
             merged[key] = copy.deepcopy(value)
     return merged
+
+
+def _require_number(value, name: str, integer: bool = False) -> None:
+    """Reject a config value that is not a real (or integer) number."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if integer else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_number_types(config: dict) -> None:
+    """Name the key of any numeric config value of the wrong type."""
+    for key in ("horizon_min", "slot_min"):
+        _require_number(config["grid"][key], f"grid.{key}", integer=True)
+    tcfg = config["traffic"]
+    _require_number(tcfg["seed"], "traffic.seed", integer=True)
+    if tcfg["scale"] is not None:
+        if not isinstance(tcfg["scale"], list):
+            raise ConfigError(f"traffic.scale must be a list, got {tcfg['scale']!r}")
+        for i, factor in enumerate(tcfg["scale"]):
+            _require_number(factor, f"traffic.scale[{i}]")
+    _require_number(config["demand"]["beta"], "demand.beta")
+    for key in ("fixed_electricity", "fixed_spectrum", "spectrum_m_min", "spectrum_m_max"):
+        _require_number(config["pricing"][key], f"pricing.{key}")
+    _require_number(config["mbs_capacity_limit"], "mbs_capacity_limit")
+    for i, spec in enumerate(config["stations"]):
+        for key in _STATION_OVERRIDES.intersection(spec):
+            if key == "p_sleep" and spec[key] is None:
+                continue  # the macro's own template has no sleep power
+            _require_number(spec[key], f"station {i}: {key}", integer=key == "rb_capacity")
 
 
 def validate_config(config: dict) -> dict:
@@ -387,6 +425,7 @@ def validate_config(config: dict) -> dict:
         unknown = set(spec) - _STATION_OVERRIDES - {"kind"}
         if unknown:
             raise ConfigError(f"station {i}: unknown fields {sorted(unknown)}")
+    _check_number_types(merged)
     return merged
 
 
@@ -481,7 +520,9 @@ def build_scenario(config: dict) -> Scenario:
     pricing = build_pricing(policy, traffic, grid)
 
     dcfg = config["demand"]
-    sn_demand = sn_demand_from_pn(traffic[1:], stations[1:], float(dcfg["beta"]))
+    sn_demand = sn_demand_from_pn(
+        traffic[1:], stations[1:], float(dcfg["beta"]), grid.num_slots
+    )
     if dcfg["mode"] == "dt":
         sn_demand = dt_shift(sn_demand, pricing.spectrum)
     elif dcfg["mode"] != "ndt":

@@ -22,6 +22,7 @@ import hashlib
 import logging
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass
 
@@ -48,6 +49,11 @@ _RETRY_DRAWS = 32
 
 # random initial-solution draws before falling back to all-on
 _INIT_DRAWS = 10_000
+
+# relative width, against the slot's load scale, of the band around the
+# capacity limit inside which the annealer re-decides a delta-tracked load
+# with the exact ascending sum
+SA_GUARD_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -240,10 +246,27 @@ def sa_solve_slot(
     """Simulated annealing over one slot's switch lattice.
 
     The search walks on the additive per-SBS revenue weights (an exact
-    linear decomposition of the objective), keeping feasibility checks
-    in the same accumulation order as the canonical path so both agree
-    on every boundary case.  The returned revenue is re-evaluated
-    through the canonical objective.
+    linear decomposition of the objective).  The returned revenue is
+    re-evaluated through the canonical objective.
+
+    Each evaluation costs O(1) work and the walk keeps O(N) memory: two
+    delta lists hold the signed change of macro load and of search value
+    that flipping each bit of the current state would cause, so a move's
+    load and value are two additions away, and an accepted move negates
+    at most two entries.  The lists and the running load and value are
+    rebuilt exactly, in ascending station order, at the start and after
+    every shake (once per temperature level), so float drift never
+    outlives a level.
+
+    Guard bands keep every decision equal to the one the exact ascending
+    sums give.  A delta load within ``SA_GUARD_REL`` times the load scale
+    (|base| + sum of |contributions|) of the capacity limit is re-decided
+    by the exact sum, so feasibility agrees with ``offloaded_mbs_load``
+    bit for bit.  Likewise, a value comparison (accept or new best) whose
+    two sides lie within twice that width, measured on the weight scale,
+    is decided by exact sums; this happens only for near-equal weights.
+    The one residue: the Metropolis threshold exp(gap / kT) is taken from
+    the tracked gap, which may differ from the exact gap in its last bits.
 
     Candidate generation redraws a move when it lands on an infeasible
     state; after a bounded number of draws the neighborhood is resolved
@@ -277,35 +300,48 @@ def sa_solve_slot(
     contrib = [offload_contribution(scenario, j, slot) for j in range(1, n + 1)]
     weights = sbs_off_weights(scenario, slot)
 
-    load_cache: dict[int, float] = {}
-    value_cache: dict[int, float] = {}
-    lc_get = load_cache.get
-    vc_get = value_cache.get
+    neighborhoods = (0, 1, 2) if n >= 2 else (0,)
+    k = params.k_factor * n
+
+    # A tracked sum drifts from the exact ascending one by at most one
+    # rounding (eps x scale) per addition since the last rebuild, and a
+    # level makes fewer than n + 6k + 2 of them; the bands cover that.
+    rel = max(SA_GUARD_REL, (n + 6 * k + 2) * sys.float_info.epsilon)
+    band = rel * (abs(base) + sum(abs(c) for c in contrib))
+    sure_fit, sure_miss = cap - band, cap + band
+    tie = 2.0 * rel * sum(abs(w) for w in weights)
+
+    def exact_sum(mask: int, start: float, terms: list[float]) -> float:
+        # ascending-index accumulation, identical to offloaded_mbs_load
+        total = start
+        j = 0
+        while mask:
+            if mask & 1:
+                total += terms[j]
+            mask >>= 1
+            j += 1
+        return total
 
     def load_of(mask: int) -> float:
-        # ascending-index accumulation, identical to offloaded_mbs_load
-        load = base
-        m = mask
-        j = 0
-        while m:
-            if m & 1:
-                load += contrib[j]
-            m >>= 1
-            j += 1
-        load_cache[mask] = load
-        return load
+        return exact_sum(mask, base, contrib)
 
     def value_of(mask: int) -> float:
-        value = 0.0
-        m = mask
-        j = 0
-        while m:
-            if m & 1:
-                value += weights[j]
-            m >>= 1
-            j += 1
-        value_cache[mask] = value
-        return value
+        return exact_sum(mask, 0.0, weights)
+
+    # Index n is a "no flip" sentinel: its deltas are zero and its bit is 0,
+    # so a one-bit move is the pair (a, n) and an equal-bit swap is (n, n).
+    bit = [1 << j for j in range(n)] + [0]
+    dl = [0.0] * (n + 1)
+    dv = [0.0] * (n + 1)
+    is_off = [False] * (n + 1)
+
+    def rebuild(mask: int) -> tuple[float, float]:
+        """Reset the delta lists to ``mask``; return its exact load and value."""
+        for j in range(n):
+            off = is_off[j] = bool((mask >> j) & 1)
+            dl[j] = -contrib[j] if off else contrib[j]
+            dv[j] = -weights[j] if off else weights[j]
+        return load_of(mask), value_of(mask)
 
     # neighborhoods with no feasible state, resolved by full enumeration;
     # keyed by (state, move kind) packed into one int
@@ -315,13 +351,7 @@ def sa_solve_slot(
     def resolve_by_enumeration(kind: int, cur: int, key: int) -> int | None:
         feas = feasible_sets.get(key)
         if feas is None:
-            feas = []
-            for c in _neighborhood_masks(kind, cur, n):
-                lv = lc_get(c)
-                if lv is None:
-                    lv = load_of(c)
-                if lv <= cap:
-                    feas.append(c)
+            feas = [c for c in _neighborhood_masks(kind, cur, n) if load_of(c) <= cap]
             feasible_sets[key] = feas
             if not feas:
                 empty_steps.add(key)
@@ -336,19 +366,13 @@ def sa_solve_slot(
     current = 0
     for _ in range(_INIT_DRAWS):
         probe = rng.getrandbits(n)
-        lv = lc_get(probe)
-        if lv is None:
-            lv = load_of(probe)
-        if lv <= cap:
+        if load_of(probe) <= cap:
             current = probe
             break
-    cur_val = vc_get(current)
-    if cur_val is None:
-        cur_val = value_of(current)
+    cur_load, cur_val = rebuild(current)
     best, best_val = current, cur_val
+    best_lo = best_val - tie
 
-    neighborhoods = (0, 1, 2) if n >= 2 else (0,)
-    k = params.k_factor * n
     kboltz = params.boltzmann_k
     nm1 = n - 1
     p_shake = params.shake_flip_prob
@@ -359,45 +383,64 @@ def sa_solve_slot(
         kt = kboltz * (params.t_init - level * params.alpha)
         for _ in range(k):
             for kind in neighborhoods:
-                key = (current << 2) | kind
-                if key in empty_steps:
+                if empty_steps and (current << 2) | kind in empty_steps:
                     skipped += 1
                     continue
                 # rejection-sample a feasible neighbor (same move semantics
                 # as the public neighbor_* operations)
-                cand = -1
                 for _draw in range(_RETRY_DRAWS):
+                    a = int(rnd() * n)
                     if kind == 0:
-                        c = current ^ (1 << int(rnd() * n))
+                        b = n
                     else:
-                        a = int(rnd() * n)
                         b = int(rnd() * nm1)
                         if b >= a:
                             b += 1
-                        if kind == 1 or ((current >> a) ^ (current >> b)) & 1:
-                            c = current ^ (1 << a) ^ (1 << b)
-                        else:
-                            c = current  # swap of equal bits
-                    lv = lc_get(c)
-                    if lv is None:
-                        lv = load_of(c)
-                    if lv <= cap:
-                        cand = c
+                        if kind == 2 and is_off[a] == is_off[b]:
+                            a = b = n  # swap of equal bits: the state itself
+                    lv = cur_load + dl[a] + dl[b]
+                    if lv <= sure_fit:
                         break
-                if cand < 0:
-                    resolved = resolve_by_enumeration(kind, current, key)
-                    if resolved is None:
+                    if lv > sure_miss:
+                        continue
+                    lv = load_of(current ^ bit[a] ^ bit[b])
+                    if lv <= cap:
+                        break
+                else:
+                    cand = resolve_by_enumeration(kind, current, (current << 2) | kind)
+                    if cand is None:
                         skipped += 1
                         continue
-                    cand = resolved
-                val = vc_get(cand)
-                if val is None:
-                    val = value_of(cand)
+                    # at most two bits differ; pad the pair with the sentinel
+                    flips = [j for j in range(n) if (cand ^ current) >> j & 1] + [n, n]
+                    a, b = flips[0], flips[1]
+                    lv = load_of(cand)
+                val = cur_val + dv[a] + dv[b]
                 evaluations += 1
-                if val >= cur_val or rnd() < exp((val - cur_val) / kt):
-                    current, cur_val = cand, val
-                if val > best_val:
-                    best, best_val = cand, val
+                gap = val - cur_val
+                if gap > tie:
+                    accept = True
+                elif gap < -tie:
+                    accept = rnd() < exp(gap / kt)
+                elif dv[a] == 0.0 and dv[b] == 0.0:
+                    # an equal-bit swap or zero weights: the exact sum is unchanged
+                    accept = True
+                else:
+                    exact_gap = value_of(current ^ bit[a] ^ bit[b]) - value_of(current)
+                    accept = exact_gap >= 0.0 or rnd() < exp(exact_gap / kt)
+                if accept:
+                    current ^= bit[a] ^ bit[b]
+                    cur_load, cur_val = lv, val
+                    dl[a], dv[a], is_off[a] = -dl[a], -dv[a], not is_off[a]
+                    dl[b], dv[b], is_off[b] = -dl[b], -dv[b], not is_off[b]
+                if val >= best_lo:
+                    cand = current if accept else current ^ bit[a] ^ bit[b]
+                    if val > best_val + tie or (
+                        cand != best and value_of(cand) > value_of(best)
+                    ):
+                        # max: an exact tie-break may pick a value a few ulps low
+                        best, best_val = cand, max(val, best_val)
+                        best_lo = best_val - tie
                 if trace is not None:
                     trace.append(best_val)
         # diversify: restart the walk from a kicked copy of the best
@@ -406,9 +449,7 @@ def sa_solve_slot(
             if rnd() < p_shake:
                 mask ^= 1 << j
         current = mask
-        cur_val = vc_get(current)
-        if cur_val is None:
-            cur_val = value_of(current)
+        cur_load, cur_val = rebuild(current)
 
     if skipped:
         logger.debug(

@@ -188,3 +188,38 @@ def test_unknown_method_is_an_error(small_config, tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 1
     assert "unknown method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "yaml_text,key",
+    [
+        ("traffic: {scale: 5}", "traffic.scale"),
+        ("grid: {slot_min: ten}", "grid.slot_min"),
+        ("stations: [{kind: macro}, {kind: micro, p_o: x}]", "p_o"),
+        ("demand: {beta: null}", "demand.beta"),
+    ],
+)
+def test_mistyped_config_value_is_a_one_line_error(tmp_path, capsys, yaml_text, key):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml_text + "\n")
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert key in err[0]
+
+
+@pytest.mark.parametrize("method", ["sa", "es", "atype", "dtype"])
+def test_macro_only_network_runs(tmp_path, method):
+    path = tmp_path / "macro.yaml"
+    path.write_text("grid: {horizon_min: 60, slot_min: 10}\nstations: [{kind: macro}]\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--method", method, "--out", str(out)]) == 0
+    _, rows = read_rows(out / "switch_per_slot.csv")
+    assert [row[1] for row in rows] == ["1"] * 6
+    _, revenue = read_rows(out / "revenue_per_slot.csv")
+    assert all(float(row[3]) == 0.0 and row[5] == "true" for row in revenue)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["num_sbs"] == 0
+    assert summary["daily_total"] == 0.0

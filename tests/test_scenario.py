@@ -170,6 +170,11 @@ class TestSnDemand:
         with pytest.raises(ConfigError):
             sn_demand_from_pn([ts], [self.MICRO], beta=1.5)
 
+    def test_no_sbs_gives_an_empty_row_per_slot(self):
+        demand = sn_demand_from_pn([], [], beta=0.7, num_slots=144)
+        assert demand.shape == (0, 144)
+        assert demand.dtype == np.int64
+
 
 class TestDtShift:
     def test_peak_moves_onto_cheapest_slot(self):

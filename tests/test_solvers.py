@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import random
 
@@ -11,8 +13,11 @@ from hetlease import (
     SaParams,
     SortOrder,
     SwitchVector,
+    bench_config,
     bench_scenario,
+    build_scenario,
     es_solve_slot,
+    is_feasible,
     metropolis_accept,
     neighbor_one_reserve,
     neighbor_swap,
@@ -25,6 +30,8 @@ from hetlease import (
     total_revenue_slot,
     utility_vector,
 )
+
+from hetlease import solvers
 
 import oracles
 from conftest import build_tiny, switch_off
@@ -232,6 +239,116 @@ class TestSimulatedAnnealing:
         switch, revenue, _ = sa_solve_slot(scn, 30, SaParams(rng_seed=3))
         again = total_revenue_slot(scn, 30, switch)
         assert revenue == again
+
+
+def tight_bench_scenario():
+    """bench_scenario(16) with the macro capped just above its 0.55 peak,
+    so busy slots allow few sleeping cells and neighbourhoods run empty."""
+    config = bench_config(16, 7)
+    config["mbs_capacity_limit"] = 0.58
+    return build_scenario(config)
+
+
+# (scenario, slot, rng_seed, off mask, evaluations, revenue.total.hex())
+# recorded from an annealer that summed every state's load and value in full;
+# the delta-move annealer must reproduce them.  In b64 slot 89 two cells have
+# equal weights, so swapping them is a value tie that only the exact
+# tie-break resolves as the full sums do.
+SA_GOLDEN = [
+    ("ref", 0, 0, 0x17f, 35488, "0x1.e2c746f8eac7fp+1"),
+    ("ref", 24, 0, 0xff, 35480, "0x1.d22624c1a7fd3p+1"),
+    ("ref", 66, 0, 0xe, 23591, "0x1.0a4afe3752565p+2"),
+    ("ref", 78, 0, 0x4, 14938, "0x1.3c329f0326c9cp+1"),
+    ("ref", 96, 0, 0x0, 6853, "0x0.0p+0"),
+    ("ref", 108, 0, 0x2, 17647, "0x1.2b8f80aa0f5f7p+1"),
+    ("ref", 130, 0, 0x3f, 33872, "0x1.12ae45df9da0bp+2"),
+    ("ref", 0, 1, 0x17f, 35289, "0x1.e2c746f8eac7fp+1"),
+    ("ref", 24, 1, 0xff, 35578, "0x1.d22624c1a7fd3p+1"),
+    ("ref", 66, 1, 0xe, 22881, "0x1.0a4afe3752565p+2"),
+    ("ref", 78, 1, 0x4, 15072, "0x1.3c329f0326c9cp+1"),
+    ("ref", 96, 1, 0x0, 6494, "0x0.0p+0"),
+    ("ref", 108, 1, 0x2, 18630, "0x1.2b8f80aa0f5f7p+1"),
+    ("ref", 130, 1, 0x3f, 34451, "0x1.12ae45df9da0bp+2"),
+    ("b64", 12, 0, 0x7f7fe3b7d79f31f7, 190080, "0x1.e17032cf1c70bp-7"),
+    ("b64", 89, 0, 0x713bbff39f7bfbb3, 190080, "0x1.f116ec6938b74p-7"),
+    ("tight16", 100, 0, 0x1032, 31038, "0x1.9149c392b3f52p-2"),
+    ("tight16", 90, 1, 0x10, 17196, "0x1.0b75889745f0bp-3"),
+]
+
+
+class TestAnnealerGolden:
+    @pytest.fixture(scope="class")
+    def scenarios(self):
+        return {
+            "ref": reference_scenario(),
+            "b64": bench_scenario(64, 7),
+            "tight16": tight_bench_scenario(),
+        }
+
+    @pytest.mark.parametrize("name,slot,seed,mask,evals,total", SA_GOLDEN)
+    def test_matches_recorded_run(self, scenarios, name, slot, seed, mask, evals, total):
+        switch, revenue, evaluations = sa_solve_slot(
+            scenarios[name], slot, SaParams(rng_seed=seed)
+        )
+        assert (switch.off_mask(), evaluations, revenue.total.hex()) == (
+            mask,
+            evals,
+            total,
+        )
+
+    def test_tight_case_exercises_the_enumeration_fallback(self, scenarios, monkeypatch):
+        calls = []
+        real = solvers._neighborhood_masks
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(solvers, "_neighborhood_masks", counting)
+        for name, slot, seed, *_ in SA_GOLDEN:
+            if name == "tight16":
+                calls.clear()
+                sa_solve_slot(scenarios[name], slot, SaParams(rng_seed=seed))
+                assert calls, f"slot {slot}: no neighbourhood was enumerated"
+
+
+def ascending_load(base, loads, mask):
+    """Macro load of ``mask`` summed in ascending station order."""
+    total = base
+    for j, load in enumerate(loads):
+        if mask >> j & 1:
+            total += load
+    return total
+
+
+# (macro load, SBS loads, boundary mask, near mask): the capacity is set to
+# the ascending sum of the boundary mask; the near mask sums one ulp above
+# it in ascending order but at or below it in some other order, which is
+# the order a delta-tracked load may take
+GUARD_CASES = [
+    (0.1, [0.6, 0.4, 0.1, 0.2], 0b0101, 0b1110),
+    (0.1, [0.45, 0.1, 0.05, 0.6], 0b1000, 0b0111),
+    (0.3, [0.3, 0.25, 0.7, 0.05], 0b0001, 0b1010),
+]
+
+
+@pytest.mark.parametrize("base,loads,boundary,near", GUARD_CASES)
+def test_guard_band_keeps_capacity_decisions_canonical(base, loads, boundary, near):
+    limit = ascending_load(base, loads, boundary)
+    assert ascending_load(base, loads, near) == math.nextafter(limit, 2.0)
+    off = [j for j in range(len(loads)) if near >> j & 1]
+    other_orders = [
+        functools.reduce(lambda acc, j: acc + loads[j], order, base)
+        for order in itertools.permutations(off)
+    ]
+    assert min(other_orders) <= limit
+    scn = build_tiny([[base] + loads], demand=[30] * len(loads), limit=limit)
+    best = es_solve_slot(scn, 0)[1].total
+    for seed in range(6):
+        switch, revenue, _ = sa_solve_slot(scn, 0, SaParams(rng_seed=seed))
+        assert is_feasible(scn, 0, switch).feasible
+        assert oracles.feasible(scn, 0, switch.gamma)
+        assert revenue.total <= best
 
 
 class TestExhaustiveSearch:
