@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -362,9 +363,11 @@ class Scenario:
                 f"macro load peaks at {mbs_peak}, above the "
                 f"capacity limit {self.mbs_capacity_limit}"
             )
-        # plain-float caches; solvers touch these millions of times
+        # plain-float caches; solvers touch these millions of times.  Float
+        # rows are arrays of doubles: a quarter of the memory of a tuple of
+        # float objects, and indexing yields the same float
         loads = tuple(
-            tuple(float(ts.values[t]) for ts in self.traffic)
+            array("d", [float(ts.values[t]) for ts in self.traffic])
             for t in range(n_slots)
         )
         demands = tuple(
@@ -380,13 +383,13 @@ class Scenario:
                 bs.rb_capacity / mbs_rb for bs in self.stations[1:]
             )
         contrib = tuple(
-            tuple(loads[t][j + 1] * ratios[j] for j in range(self.num_sbs))
+            array("d", [loads[t][j + 1] * ratios[j] for j in range(self.num_sbs)])
             for t in range(n_slots)
         )
         # per-slot active power of every station at its own load, and the
         # all-on network total accumulated in ascending station order
         active_power = tuple(
-            tuple(bs.power(loads[t][i]) for i, bs in enumerate(self.stations))
+            array("d", [bs.power(loads[t][i]) for i, bs in enumerate(self.stations)])
             for t in range(n_slots)
         )
         def _allon(t: int) -> float:

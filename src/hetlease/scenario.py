@@ -50,6 +50,25 @@ class RawActivityRecord:
     internet_activity: float
 
 
+# libyaml's parser when PyYAML was built with it; same documents, same data
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _read_yaml(path):
+    """Parse one YAML document with the safe loader; a syntax error becomes
+    a ConfigError that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return yaml.load(fh, Loader=_YAML_LOADER)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            if mark is None:
+                detail = " ".join(str(exc).split())
+            else:
+                detail = f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+            raise ConfigError(f"{path}: invalid YAML: {detail}") from None
+
+
 # --- traffic -------------------------------------------------------------
 
 def synth_traffic(
@@ -264,8 +283,7 @@ def default_electricity_multipliers(num_slots: int) -> np.ndarray:
 
 def load_multiplier_profile(path) -> np.ndarray:
     """Read a per-slot multiplier list from a YAML document."""
-    with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    data = _read_yaml(path)
     if not isinstance(data, list) or not data:
         raise ConfigError(f"{path}: expected a non-empty list of multipliers")
     mult = np.asarray(data, dtype=np.float64)
@@ -401,9 +419,25 @@ def _check_number_types(config: dict) -> None:
             raise ConfigError(f"traffic.scale must be a list, got {tcfg['scale']!r}")
         for i, factor in enumerate(tcfg["scale"]):
             _require_number(factor, f"traffic.scale[{i}]")
+    if tcfg["assignment"] is not None:
+        if not isinstance(tcfg["assignment"], dict):
+            raise ConfigError(
+                f"traffic.assignment must be a mapping, got {tcfg['assignment']!r}"
+            )
+        for grid, station in tcfg["assignment"].items():
+            _require_number(grid, "traffic.assignment key", integer=True)
+            _require_number(station, f"traffic.assignment[{grid}]", integer=True)
     _require_number(config["demand"]["beta"], "demand.beta")
     for key in ("fixed_electricity", "fixed_spectrum", "spectrum_m_min", "spectrum_m_max"):
         _require_number(config["pricing"][key], f"pricing.{key}")
+    profile = config["pricing"]["electricity_profile"]
+    if isinstance(profile, list):
+        for i, factor in enumerate(profile):
+            _require_number(factor, f"pricing.electricity_profile[{i}]")
+    elif profile is not None and not isinstance(profile, str):
+        raise ConfigError(
+            f"pricing.electricity_profile must be a path or a list, got {profile!r}"
+        )
     _require_number(config["mbs_capacity_limit"], "mbs_capacity_limit")
     for i, spec in enumerate(config["stations"]):
         for key in _STATION_OVERRIDES.intersection(spec):
@@ -431,8 +465,7 @@ def validate_config(config: dict) -> dict:
 
 def load_config(path) -> dict:
     """Load and validate a YAML config document."""
-    with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    data = _read_yaml(path)
     return validate_config(data if data is not None else {})
 
 

@@ -24,6 +24,7 @@ import math
 import random
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .economics import sbs_off_weights, total_revenue_slot
@@ -51,9 +52,23 @@ _RETRY_DRAWS = 32
 _INIT_DRAWS = 10_000
 
 # relative width, against the slot's load scale, of the band around the
-# capacity limit inside which the annealer re-decides a delta-tracked load
-# with the exact ascending sum
+# capacity limit inside which the annealer and the greedy re-decide a
+# tracked load with the exact ascending sum
 SA_GUARD_REL = 1e-9
+
+
+def _ascending_sum(mask: int, start: float, terms: Sequence[float]) -> float:
+    """``start`` plus ``terms[j]`` for every set bit j of ``mask``, added in
+    ascending j: the accumulation order of ``offloaded_mbs_load``.  Every
+    exact load and value in this module is summed here."""
+    total = start
+    j = 0
+    while mask:
+        if mask & 1:
+            total += terms[j]
+        mask >>= 1
+        j += 1
+    return total
 
 
 @dataclass(frozen=True)
@@ -311,23 +326,6 @@ def sa_solve_slot(
     sure_fit, sure_miss = cap - band, cap + band
     tie = 2.0 * rel * sum(abs(w) for w in weights)
 
-    def exact_sum(mask: int, start: float, terms: list[float]) -> float:
-        # ascending-index accumulation, identical to offloaded_mbs_load
-        total = start
-        j = 0
-        while mask:
-            if mask & 1:
-                total += terms[j]
-            mask >>= 1
-            j += 1
-        return total
-
-    def load_of(mask: int) -> float:
-        return exact_sum(mask, base, contrib)
-
-    def value_of(mask: int) -> float:
-        return exact_sum(mask, 0.0, weights)
-
     # Index n is a "no flip" sentinel: its deltas are zero and its bit is 0,
     # so a one-bit move is the pair (a, n) and an equal-bit swap is (n, n).
     bit = [1 << j for j in range(n)] + [0]
@@ -341,7 +339,7 @@ def sa_solve_slot(
             off = is_off[j] = bool((mask >> j) & 1)
             dl[j] = -contrib[j] if off else contrib[j]
             dv[j] = -weights[j] if off else weights[j]
-        return load_of(mask), value_of(mask)
+        return _ascending_sum(mask, base, contrib), _ascending_sum(mask, 0.0, weights)
 
     # neighborhoods with no feasible state, resolved by full enumeration;
     # keyed by (state, move kind) packed into one int
@@ -351,7 +349,11 @@ def sa_solve_slot(
     def resolve_by_enumeration(kind: int, cur: int, key: int) -> int | None:
         feas = feasible_sets.get(key)
         if feas is None:
-            feas = [c for c in _neighborhood_masks(kind, cur, n) if load_of(c) <= cap]
+            feas = [
+                c
+                for c in _neighborhood_masks(kind, cur, n)
+                if _ascending_sum(c, base, contrib) <= cap
+            ]
             feasible_sets[key] = feas
             if not feas:
                 empty_steps.add(key)
@@ -366,7 +368,7 @@ def sa_solve_slot(
     current = 0
     for _ in range(_INIT_DRAWS):
         probe = rng.getrandbits(n)
-        if load_of(probe) <= cap:
+        if _ascending_sum(probe, base, contrib) <= cap:
             current = probe
             break
     cur_load, cur_val = rebuild(current)
@@ -403,7 +405,7 @@ def sa_solve_slot(
                         break
                     if lv > sure_miss:
                         continue
-                    lv = load_of(current ^ bit[a] ^ bit[b])
+                    lv = _ascending_sum(current ^ bit[a] ^ bit[b], base, contrib)
                     if lv <= cap:
                         break
                 else:
@@ -414,7 +416,7 @@ def sa_solve_slot(
                     # at most two bits differ; pad the pair with the sentinel
                     flips = [j for j in range(n) if (cand ^ current) >> j & 1] + [n, n]
                     a, b = flips[0], flips[1]
-                    lv = load_of(cand)
+                    lv = _ascending_sum(cand, base, contrib)
                 val = cur_val + dv[a] + dv[b]
                 evaluations += 1
                 gap = val - cur_val
@@ -426,7 +428,9 @@ def sa_solve_slot(
                     # an equal-bit swap or zero weights: the exact sum is unchanged
                     accept = True
                 else:
-                    exact_gap = value_of(current ^ bit[a] ^ bit[b]) - value_of(current)
+                    exact_gap = _ascending_sum(
+                        current ^ bit[a] ^ bit[b], 0.0, weights
+                    ) - _ascending_sum(current, 0.0, weights)
                     accept = exact_gap >= 0.0 or rnd() < exp(exact_gap / kt)
                 if accept:
                     current ^= bit[a] ^ bit[b]
@@ -436,7 +440,9 @@ def sa_solve_slot(
                 if val >= best_lo:
                     cand = current if accept else current ^ bit[a] ^ bit[b]
                     if val > best_val + tie or (
-                        cand != best and value_of(cand) > value_of(best)
+                        cand != best
+                        and _ascending_sum(cand, 0.0, weights)
+                        > _ascending_sum(best, 0.0, weights)
                     ):
                         # max: an exact tie-break may pick a value a few ulps low
                         best, best_val = cand, max(val, best_val)
@@ -496,11 +502,12 @@ def utility_vector(scenario: Scenario, slot: int) -> list[float]:
     """Per-SBS ranking score: leasable demand (as a fraction of the SBS's
     own resource blocks) minus its traffic load.  High scores mark cells
     that are cheap to offload and lucrative to lease."""
-    out = []
-    for j in range(1, scenario.num_sbs + 1):
-        cap = scenario.stations[j].rb_capacity
-        out.append(scenario.demand(j, slot) / cap - scenario.load(j, slot))
-    return out
+    loads = scenario._loads_by_slot[slot]
+    demands = scenario._demands_by_slot[slot]
+    return [
+        demands[j - 1] / bs.rb_capacity - loads[j]
+        for j, bs in enumerate(scenario.stations[1:], start=1)
+    ]
 
 
 def sorting_solve_slot(
@@ -512,32 +519,39 @@ def sorting_solve_slot(
     ranking switching each SBS off while the macro cell still has room,
     stopping at the first one that does not fit.  The chosen off-set is
     always a prefix of the ranking.
+
+    Costs O(N log N) per slot: one sort, then one pass that keeps a
+    running macro load in rank order.  The running load adds the same
+    terms as the exact ascending sum, in another order, so the two may
+    differ in their last bits; a running load within ``SA_GUARD_REL``
+    times the load scale (|base| + sum of |contributions|) of the
+    capacity limit is re-decided by the exact ascending sum, so every
+    decision agrees with ``offloaded_mbs_load`` bit for bit.
     """
     n = scenario.num_sbs
     util = utility_vector(scenario, slot)
-    if order is SortOrder.DESCENDING:
-        ranked = sorted(range(n), key=lambda j: (-util[j], j))
-    else:
-        ranked = sorted(range(n), key=lambda j: (util[j], j))
+    # a stable sort, reversed or not, keeps tied SBSs in index order
+    ranked = sorted(
+        range(n), key=util.__getitem__, reverse=order is SortOrder.DESCENDING
+    )
 
     cap = scenario.mbs_capacity_limit
-    contrib = [offload_contribution(scenario, j, slot) for j in range(1, n + 1)]
+    contrib = scenario._contrib_by_slot[slot]
     base = scenario.load(0, slot)
-
-    def load_of(mask: int) -> float:
-        load = base
-        for j in range(n):
-            if (mask >> j) & 1:
-                load += contrib[j]
-        return load
+    # each of the two sums is off by at most one rounding (eps x scale) per
+    # addition, and a prefix makes at most n of them
+    rel = max(SA_GUARD_REL, n * sys.float_info.epsilon)
+    band = rel * (abs(base) + sum(map(abs, contrib)))
 
     mask = 0
+    load = base
     for j in ranked:
-        trial = mask | (1 << j)
-        if load_of(trial) <= cap:
-            mask = trial
-        else:
+        load += contrib[j]
+        if load > cap - band and (
+            load > cap + band or _ascending_sum(mask | (1 << j), base, contrib) > cap
+        ):
             break
+        mask |= 1 << j
     switch = SwitchVector.from_off_mask(mask, n)
     return switch, total_revenue_slot(scenario, slot, switch)
 

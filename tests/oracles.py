@@ -131,3 +131,31 @@ def expected_sa_evaluations(n_sbs: int, t_init=1.0, t_final=0.01, alpha=0.01, k_
     levels = math.ceil((t_init - t_final) / alpha - 1e-9)
     per_iter = 3 if n_sbs >= 2 else 1
     return levels * k_factor * n_sbs * per_iter
+
+
+def greedy_prefix(scenario, slot: int, descending: bool) -> int:
+    """Utility-ranked greedy, re-checking every trial vector in full.
+
+    Ranks SBSs by leasable demand over RB capacity minus load (ties by
+    index), then sleeps them in ranked order while the whole vector stays
+    feasible, stopping at the first that does not fit.  Returns the off
+    mask (bit j-1 set when SBS j is off).
+    """
+    n = scenario.num_sbs
+    score = {}
+    for j in range(1, n + 1):
+        rb = scenario.stations[j].rb_capacity
+        score[j] = scenario.demand(j, slot) / rb - scenario.load(j, slot)
+    sign = -1.0 if descending else 1.0
+    ranked = sorted(range(1, n + 1), key=lambda j: (sign * score[j], j))
+    gamma = [True] * (n + 1)
+    for j in ranked:
+        gamma[j] = False
+        if not feasible(scenario, slot, gamma):
+            gamma[j] = True
+            break
+    mask = 0
+    for j in range(1, n + 1):
+        if not gamma[j]:
+            mask |= 1 << (j - 1)
+    return mask

@@ -197,6 +197,19 @@ def test_unknown_method_is_an_error(small_config, tmp_path, capsys):
         ("grid: {slot_min: ten}", "grid.slot_min"),
         ("stations: [{kind: macro}, {kind: micro, p_o: x}]", "p_o"),
         ("demand: {beta: null}", "demand.beta"),
+        (
+            "pricing: {policy: dynamic, electricity_profile: [1.0, x]}",
+            "pricing.electricity_profile[1]",
+        ),
+        ("pricing: {electricity_profile: 5}", "pricing.electricity_profile"),
+        (
+            "traffic: {source: csv, csv_path: a.csv, assignment: {7: x}}",
+            "traffic.assignment[7]",
+        ),
+        (
+            "traffic: {source: csv, csv_path: a.csv, assignment: [7, 0]}",
+            "traffic.assignment",
+        ),
     ],
 )
 def test_mistyped_config_value_is_a_one_line_error(tmp_path, capsys, yaml_text, key):
@@ -208,6 +221,17 @@ def test_mistyped_config_value_is_a_one_line_error(tmp_path, capsys, yaml_text, 
     assert len(err) == 1
     assert err[0].startswith("error:")
     assert key in err[0]
+
+
+def test_malformed_yaml_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("traffic: {seed: [1,\n")
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {path}: invalid YAML")
+    assert "line 2" in err[0]
 
 
 @pytest.mark.parametrize("method", ["sa", "es", "atype", "dtype"])

@@ -12,6 +12,7 @@ from hetlease import (
     PricePolicy,
     TimeGrid,
     TrafficSeries,
+    bench_config,
     bench_scenario,
     build_pricing,
     build_scenario,
@@ -32,6 +33,7 @@ from hetlease import (
     synth_traffic,
     validate_config,
 )
+from hetlease import scenario as scenario_module
 from hetlease.model import SwitchVector
 
 
@@ -306,6 +308,20 @@ class TestConfig:
         save_config(reference_config(), path)
         data = yaml.safe_load(path.read_text())
         assert data["demand"]["beta"] == 0.7
+
+
+    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+    def test_both_yaml_loaders_read_the_same_config(self, tmp_path, monkeypatch, loader):
+        if not hasattr(yaml, loader):
+            pytest.skip("PyYAML was built without libyaml")
+        config = bench_config(16, 7)
+        path = tmp_path / "bench.yaml"
+        save_config(config, path)
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", getattr(yaml, loader))
+        assert load_config(path) == config
+        path.write_text("grid: {slot_min: [10,\n")
+        with pytest.raises(ConfigError, match="invalid YAML"):
+            load_config(path)
 
 
 class TestStockScenarios:

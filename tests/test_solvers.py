@@ -451,6 +451,120 @@ class TestSortingHeuristics:
                 assert not oracles.feasible(scn, slot, probe.gamma)
 
 
+# (scenario, order, slot, off mask, revenue.total.hex()) recorded from a
+# greedy that summed every trial vector's load in full; the one-pass walk
+# must reproduce them.  b128 never binds, tight16 binds at busy hours.
+GREEDY_GOLDEN = [
+    ("ref", "ascending", 0, 0xcd9, "0x1.0a40b0ab3f3bdp+1"),
+    ("ref", "ascending", 24, 0x7d5, "0x1.5d7c4cec6f139p+1"),
+    ("ref", "ascending", 66, 0x80, "0x1.8f03ab1f0b6f7p+0"),
+    ("ref", "ascending", 130, 0xe44, "0x1.d1ba0d03251b2p+0"),
+    ("ref", "descending", 0, 0x33f, "0x1.d225a07a1c1d2p+1"),
+    ("ref", "descending", 24, 0xc3f, "0x1.c181b0e8bc649p+1"),
+    ("ref", "descending", 66, 0x1c, "0x1.a00c3beed9efcp+1"),
+    ("ref", "descending", 108, 0x80, "0x1.0a02f849f2491p-1"),
+    ("ref", "descending", 130, 0x1bb, "0x1.d20e69ff070fap+1"),
+    ("b128", "ascending", 0, (1 << 128) - 1, "0x1.16871fec94c4fp-5"),
+    ("b128", "ascending", 89, (1 << 128) - 1, "0x1.12cef107a6839p-5"),
+    ("b128", "descending", 24, (1 << 128) - 1, "0x1.168cf21c59c72p-5"),
+    ("b128", "descending", 130, (1 << 128) - 1, "0x1.16604e2590160p-5"),
+    ("tight16", "ascending", 78, 0xedff, "0x1.6ed0ec6621ffep+0"),
+    ("tight16", "ascending", 96, 0xc484, "0x1.0a3eccc1d3bc7p-1"),
+    ("tight16", "ascending", 100, 0x8880, "0x1.0a3d726cd101ep-2"),
+    ("tight16", "descending", 78, 0xf7f7, "0x1.6f0fa9ff1e514p+0"),
+    ("tight16", "descending", 96, 0x1133, "0x1.4e5d441e1b31ap-1"),
+    ("tight16", "descending", 100, 0x1032, "0x1.9149c392b3f52p-2"),
+]
+
+
+class TestGreedyGolden:
+    @pytest.fixture(scope="class")
+    def scenarios(self):
+        return {
+            "ref": reference_scenario(),
+            "b128": bench_scenario(128, 7),
+            "tight16": tight_bench_scenario(),
+        }
+
+    @pytest.mark.parametrize("name,order,slot,mask,total", GREEDY_GOLDEN)
+    def test_matches_recorded_run(self, scenarios, name, order, slot, mask, total):
+        switch, revenue = sorting_solve_slot(scenarios[name], slot, SortOrder(order))
+        assert (switch.off_mask(), revenue.total.hex()) == (mask, total)
+
+
+def random_greedy_instances(count, seed):
+    """Seeded one-slot instances with N from 0 to 6, zero loads and zero
+    demands mixed in, and in most of them a capacity equal to the ascending
+    load of a prefix of the descending ranking, so that a cell fits exactly."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = i % 7
+        base = rng.choice([0.0, round(rng.uniform(0.0, 0.5), 2)])
+        loads = [rng.choice([0.0, round(rng.uniform(0.0, 0.4), 2)]) for _ in range(n)]
+        demand = [rng.choice([0, rng.randint(1, 40)]) for _ in range(n)]
+        util = utility_vector(build_tiny([[base] + loads], demand=demand or None), 0)
+        ranked = sorted(range(n), key=lambda j: (-util[j], j))
+        prefix = sum(1 << j for j in ranked[: rng.randint(0, n)])
+        limit = ascending_load(base, loads, prefix)
+        if not 0.0 < limit <= 1.0 or rng.random() < 0.2:
+            limit = rng.uniform(max(base, 0.01), 1.0)
+        out.append(build_tiny([[base] + loads], demand=demand or None, limit=limit))
+    return out
+
+
+# (macro load, SBS loads, capacity, order, first two ranked cells) with zero
+# demand, so the utility is minus the load.  The first two ranked cells sum,
+# in rank order and in ascending order, to two floats one ulp apart that
+# straddle the capacity: in the first case the ascending sum is the capacity
+# and the rank-order sum lies one ulp above it, in the second the rank-order
+# sum is the capacity and the ascending sum lies one ulp above it.
+GREEDY_STRADDLE = [
+    (0.1, [0.08, 0.24, 0.31], 0.6499999999999999, SortOrder.ASCENDING, (2, 1)),
+    (0.17, [0.35, 0.07, 0.37], 0.59, SortOrder.DESCENDING, (1, 0)),
+]
+
+
+class TestGreedyMatchesOracle:
+    @staticmethod
+    def check(scn) -> list[int]:
+        """Assert both orders match the oracle; return their off masks."""
+        masks = []
+        for order in SortOrder:
+            switch, revenue = sorting_solve_slot(scn, 0, order)
+            mask = oracles.greedy_prefix(scn, 0, order is SortOrder.DESCENDING)
+            expected = SwitchVector.from_off_mask(mask, scn.num_sbs)
+            assert switch.off_mask() == mask
+            assert revenue.total.hex() == total_revenue_slot(scn, 0, expected).total.hex()
+            masks.append(mask)
+        return masks
+
+    def test_random_tiny_instances(self):
+        instances = random_greedy_instances(140, seed=23)
+        at_capacity = 0
+        for scn in instances:
+            loads = [scn.load(j, 0) for j in range(1, scn.num_sbs + 1)]
+            for mask in self.check(scn):
+                load = ascending_load(scn.load(0, 0), loads, mask)
+                at_capacity += mask != 0 and load == scn.mbs_capacity_limit
+        assert {scn.num_sbs for scn in instances} == set(range(7))
+        assert at_capacity > 0
+
+    @pytest.mark.parametrize("base,loads,limit,order,first", GREEDY_STRADDLE)
+    def test_rank_and_ascending_sums_straddling_the_capacity(
+        self, base, loads, limit, order, first
+    ):
+        scn = build_tiny([[base] + loads], limit=limit)
+        sign = -1.0 if order is SortOrder.DESCENDING else 1.0
+        util = utility_vector(scn, 0)
+        ranked = sorted(range(len(loads)), key=lambda j: (sign * util[j], j))
+        assert tuple(ranked[:2]) == first
+        running = base + loads[first[0]] + loads[first[1]]
+        exact = ascending_load(base, loads, (1 << first[0]) | (1 << first[1]))
+        assert {running, exact} == {limit, math.nextafter(limit, 2.0)}
+        self.check(scn)
+
+
 class TestSolveDay:
     def test_single_slot_reduces_to_slot_solver(self):
         scn = build_tiny([[0.3, 0.2, 0.4]], demand=[18, 9])
