@@ -9,8 +9,8 @@ heuristics.
 
 from .economics import (
     WATT_MIN_PER_KWH,
+    SlotProblem,
     all_on_power_slot,
-    closed_form_revenue_slot,
     daily_revenue,
     energy_factor,
     energy_revenue_slot,
@@ -18,13 +18,13 @@ from .economics import (
     leasing_revenue_slot,
     power_saving_slot,
     sbs_off_weights,
+    slot_problem,
     total_revenue_slot,
 )
 from .feasibility import (
     CONSERVATION_TOL,
     OffloadReport,
     is_feasible,
-    offload_contribution,
     offloaded_mbs_load,
 )
 from .metrics import (

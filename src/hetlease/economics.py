@@ -11,8 +11,9 @@ for the resource blocks of every off SBS.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
-from .feasibility import offload_contribution, offloaded_mbs_load
+from .feasibility import offloaded_mbs_load
 from .model import (
     InfeasibleSwitchError,
     RevenueBreakdown,
@@ -98,32 +99,44 @@ def sbs_off_weights(scenario: Scenario, slot: int) -> list[float]:
     off set, which gives solvers an O(1)-update objective.
     """
     mbs = scenario.stations[0]
+    zeta, p_tx = mbs.zeta, mbs.p_tx
     factor = energy_factor(scenario)
     elec = scenario._elec_by_slot[slot]
     rb_price = scenario._spectrum_by_slot[slot]
-    weights = []
-    for j in range(1, scenario.num_sbs + 1):
-        bs = scenario.stations[j]
-        saving = (
-            bs.power(scenario.load(j, slot))
-            - bs.p_sleep
-            - offload_contribution(scenario, j, slot) * mbs.zeta * mbs.p_tx
+    return [
+        (active - sleep - contrib * zeta * p_tx) * factor * elec + demand * rb_price
+        for active, sleep, contrib, demand in zip(
+            scenario._active_power_by_slot[slot][1:],
+            scenario._sleep_powers[1:],
+            scenario._contrib_by_slot[slot],
+            scenario._demands_by_slot[slot],
         )
-        weights.append(saving * factor * elec + scenario.demand(j, slot) * rb_price)
-    return weights
+    ]
 
 
-def closed_form_revenue_slot(
-    scenario: Scenario, slot: int, switch: SwitchVector
-) -> float:
-    """Total revenue via the additive weights; agrees with the canonical
-    breakdown to within float re-association (~1e-12)."""
-    weights = sbs_off_weights(scenario, slot)
-    revenue = 0.0
-    for j in range(1, scenario.num_sbs + 1):
-        if not switch.is_on(j):
-            revenue += weights[j - 1]
-    return revenue
+class SlotProblem(NamedTuple):
+    """One slot as a 0/1 knapsack over the SBSs.
+
+    Switching SBS j+1 off adds ``contrib[j]`` to the macro load and
+    ``weights[j]`` to the revenue; a switch vector is feasible when
+    ``base`` plus its contributions, added in ascending station order,
+    is at most ``cap``.
+    """
+
+    base: float             # macro load with every SBS on
+    cap: float              # macro capacity limit
+    contrib: list[float]    # macro-load increment per sleeping SBS
+    weights: list[float]    # revenue per sleeping SBS (``sbs_off_weights``)
+
+
+def slot_problem(scenario: Scenario, slot: int) -> SlotProblem:
+    """The knapsack row of one slot, read from the scenario's tables."""
+    return SlotProblem(
+        base=scenario._loads_by_slot[slot][0],
+        cap=scenario.mbs_capacity_limit,
+        contrib=scenario._contrib_by_slot[slot].tolist(),
+        weights=sbs_off_weights(scenario, slot),
+    )
 
 
 def daily_revenue(

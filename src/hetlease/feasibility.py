@@ -33,19 +33,6 @@ class OffloadReport:
         return abs(self.demand_before - self.demand_after) <= CONSERVATION_TOL
 
 
-def offload_contribution(scenario: Scenario, station: int, slot: int) -> float:
-    """Macro-load increment caused by switching ``station`` off in ``slot``.
-
-    DIRECT mode hands the normalized load over unchanged.
-    CAPACITY_SCALED mode converts it into macro-cell units through the
-    resource-block ratio, so a small cell's full load occupies only a
-    sliver of the macro carrier.
-    """
-    if station < 1 or station > scenario.num_sbs:
-        raise IndexError(f"station {station} is not an SBS")
-    return scenario._contrib_by_slot[slot][station - 1]
-
-
 def offloaded_mbs_load(scenario: Scenario, slot: int, switch: SwitchVector) -> float:
     """Macro-cell load in ``slot`` after absorbing every off SBS.
 

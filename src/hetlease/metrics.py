@@ -20,7 +20,7 @@ from .economics import daily_revenue
 from .feasibility import is_feasible
 from .model import InfeasibleSwitchError, Scenario, SwitchVector
 from .scenario import bench_scenario
-from .solvers import ES_MAX_SBS, Method, SaParams, solve_day
+from .solvers import Method, SaParams, solve_day
 
 
 def network_throughput(scenario: Scenario, slot: int, switch: SwitchVector) -> float:
@@ -119,7 +119,6 @@ def runtime_scaling(
     methods: Sequence[Method | str],
     seed: int = 7,
     params: SaParams | None = None,
-    es_cap: int = ES_MAX_SBS,
 ) -> list[BenchRecord]:
     """Solve one full day per (network size, method) and record the cost.
 
@@ -132,7 +131,7 @@ def runtime_scaling(
     for n in n_values:
         scn = bench_scenario(n, seed)
         for method in methods:
-            result = solve_day(scn, method, params, es_cap=es_cap)
+            result = solve_day(scn, method, params)
             replayed = daily_revenue(scn, result.per_slot_switch)
             records.append(
                 BenchRecord(

@@ -260,6 +260,10 @@ class SwitchVector:
         off = set(off)
         if 0 in off:
             raise ConfigError("macro station (index 0) cannot be switched off")
+        if not off <= set(range(1, num_sbs + 1)):
+            raise ValueError(
+                f"off indices {sorted(off)} out of range for {num_sbs} SBSs"
+            )
         gamma = [True] + [j not in off for j in range(1, num_sbs + 1)]
         return cls(gamma=tuple(gamma))
 
@@ -341,13 +345,14 @@ class Scenario:
             )
         if demand.min(initial=0) < 0:
             raise ConfigError("secondary-network demand cannot be negative")
-        for j in range(self.num_sbs):
-            cap = self.stations[j + 1].rb_capacity
-            worst = int(demand[j].max(initial=0))
-            if worst > cap:
-                raise ConfigError(
-                    f"SBS {j + 1} demand peaks at {worst} RBs, capacity {cap}"
-                )
+        peaks = demand.max(axis=1, initial=0)
+        caps = np.array([bs.rb_capacity for bs in self.stations[1:]], dtype=np.int64)
+        over = np.flatnonzero(peaks > caps)
+        if over.size:
+            j = over[0]
+            raise ConfigError(
+                f"SBS {j + 1} demand peaks at {peaks[j]} RBs, capacity {caps[j]}"
+            )
         demand.setflags(write=False)
         object.__setattr__(self, "sn_demand", demand)
         if len(self.pricing) != n_slots:
@@ -363,57 +368,44 @@ class Scenario:
                 f"macro load peaks at {mbs_peak}, above the "
                 f"capacity limit {self.mbs_capacity_limit}"
             )
-        # plain-float caches; solvers touch these millions of times.  Float
-        # rows are arrays of doubles: a quarter of the memory of a tuple of
-        # float objects, and indexing yields the same float
-        loads = tuple(
-            array("d", [float(ts.values[t]) for ts in self.traffic])
-            for t in range(n_slots)
-        )
-        demands = tuple(
-            tuple(int(demand[j, t]) for j in range(self.num_sbs))
-            for t in range(n_slots)
-        )
-        # macro-load increment per sleeping SBS, fixed by the offload mode
-        if self.offload_mode is OffloadMode.DIRECT:
-            ratios = (1.0,) * self.num_sbs
-        else:
-            mbs_rb = self.stations[0].rb_capacity
-            ratios = tuple(
-                bs.rb_capacity / mbs_rb for bs in self.stations[1:]
+        # Per-slot tables, one row per slot, built with whole-array
+        # operations in the arithmetic order of their element-wise
+        # definitions (``BaseStation.power``, the all-on total in ascending
+        # station order), so every entry is the same double.  Rows are
+        # array('d'), a quarter of the memory of a tuple of floats: the
+        # canonical checks read single entries thousands of times per slot,
+        # and a numpy scalar read costs about twice an array('d') read.
+        stations = self.stations
+        loads = np.stack([ts.values for ts in self.traffic], axis=1)
+        contrib = loads[:, 1:]
+        if self.offload_mode is OffloadMode.CAPACITY_SCALED:
+            # macro-load increment per sleeping SBS, in macro resource blocks
+            mbs_rb = stations[0].rb_capacity
+            contrib = contrib * np.array(
+                [bs.rb_capacity / mbs_rb for bs in stations[1:]]
             )
-        contrib = tuple(
-            array("d", [loads[t][j + 1] * ratios[j] for j in range(self.num_sbs)])
-            for t in range(n_slots)
-        )
-        # per-slot active power of every station at its own load, and the
-        # all-on network total accumulated in ascending station order
-        active_power = tuple(
-            array("d", [bs.power(loads[t][i]) for i, bs in enumerate(self.stations)])
-            for t in range(n_slots)
-        )
-        def _allon(t: int) -> float:
-            total = active_power[t][0]
-            for i in range(1, len(self.stations)):
-                total += active_power[t][i]
-            return total
+        p_o = np.array([bs.p_o for bs in stations])
+        zeta = np.array([bs.zeta for bs in stations])
+        p_tx = np.array([bs.p_tx for bs in stations])
+        active_power = p_o + loads * zeta * p_tx
+        allon = active_power[:, 0].copy()
+        for i in range(1, len(stations)):
+            allon += active_power[:, i]
 
-        object.__setattr__(self, "_loads_by_slot", loads)
-        object.__setattr__(self, "_demands_by_slot", demands)
-        object.__setattr__(self, "_contrib_by_slot", contrib)
-        object.__setattr__(self, "_active_power_by_slot", active_power)
+        def rows(table: np.ndarray) -> tuple[array, ...]:
+            return tuple(array("d", row.tobytes()) for row in table)
+
+        object.__setattr__(self, "_loads_by_slot", rows(loads))
         object.__setattr__(
-            self, "_allon_power_by_slot", tuple(_allon(t) for t in range(n_slots))
+            self, "_demands_by_slot", tuple(map(tuple, demand.T.tolist()))
         )
-        object.__setattr__(
-            self, "_sleep_powers", tuple(bs.p_sleep for bs in self.stations)
-        )
-        object.__setattr__(
-            self, "_elec_by_slot", tuple(float(p) for p in self.pricing.electricity)
-        )
-        object.__setattr__(
-            self, "_spectrum_by_slot", tuple(float(p) for p in self.pricing.spectrum)
-        )
+        object.__setattr__(self, "_contrib_by_slot", rows(contrib))
+        object.__setattr__(self, "_active_power_by_slot", rows(active_power))
+        object.__setattr__(self, "_allon_power_by_slot", tuple(allon.tolist()))
+        object.__setattr__(self, "_sleep_powers", tuple(bs.p_sleep for bs in stations))
+        prices = self.pricing
+        object.__setattr__(self, "_elec_by_slot", tuple(prices.electricity.tolist()))
+        object.__setattr__(self, "_spectrum_by_slot", tuple(prices.spectrum.tolist()))
 
     @property
     def num_sbs(self) -> int:

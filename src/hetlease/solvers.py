@@ -27,8 +27,8 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .economics import sbs_off_weights, total_revenue_slot
-from .feasibility import is_feasible, offload_contribution
+from .economics import slot_problem, total_revenue_slot
+from .feasibility import is_feasible
 from .model import (
     DegenerateInstanceError,
     EnumerationCapError,
@@ -153,10 +153,6 @@ def _slot_rng(seed: int, slot: int) -> random.Random:
 # Internally a state is an int bitmask over SBSs: bit j set means SBS
 # j+1 is off.  The macro bit never appears in the mask.
 
-def _off_mask(switch: SwitchVector) -> int:
-    return switch.off_mask()
-
-
 def _two_distinct(rng: random.Random, n: int) -> tuple[int, int]:
     # uniform over ordered pairs of distinct indices
     a = rng.randrange(n)
@@ -203,7 +199,7 @@ def neighbor_one_reserve(switch: SwitchVector, rng: random.Random) -> SwitchVect
     n = switch.num_sbs
     if n < 1:
         raise DegenerateInstanceError("one-reserve move needs at least one SBS")
-    return SwitchVector.from_off_mask(_move_flip_one(_off_mask(switch), rng, n), n)
+    return SwitchVector.from_off_mask(_move_flip_one(switch.off_mask(), rng, n), n)
 
 
 def neighbor_two_reserve(switch: SwitchVector, rng: random.Random) -> SwitchVector:
@@ -211,7 +207,7 @@ def neighbor_two_reserve(switch: SwitchVector, rng: random.Random) -> SwitchVect
     n = switch.num_sbs
     if n < 2:
         raise DegenerateInstanceError("two-reserve move needs at least two SBSs")
-    return SwitchVector.from_off_mask(_move_flip_two(_off_mask(switch), rng, n), n)
+    return SwitchVector.from_off_mask(_move_flip_two(switch.off_mask(), rng, n), n)
 
 
 def neighbor_swap(switch: SwitchVector, rng: random.Random) -> SwitchVector:
@@ -219,7 +215,7 @@ def neighbor_swap(switch: SwitchVector, rng: random.Random) -> SwitchVector:
     n = switch.num_sbs
     if n < 2:
         raise DegenerateInstanceError("swap move needs at least two SBSs")
-    return SwitchVector.from_off_mask(_move_swap(_off_mask(switch), rng, n), n)
+    return SwitchVector.from_off_mask(_move_swap(switch.off_mask(), rng, n), n)
 
 
 def shake(switch: SwitchVector, params: SaParams, rng: random.Random) -> SwitchVector:
@@ -227,7 +223,7 @@ def shake(switch: SwitchVector, params: SaParams, rng: random.Random) -> SwitchV
     probability ``shake_flip_prob``.  The result may be infeasible; the
     annealing loop only ever moves to feasible candidates afterwards."""
     n = switch.num_sbs
-    mask = _off_mask(switch)
+    mask = switch.off_mask()
     p = params.shake_flip_prob
     for j in range(n):
         if rng.random() < p:
@@ -280,7 +276,8 @@ def sa_solve_slot(
     bit for bit.  Likewise, a value comparison (accept or new best) whose
     two sides lie within twice that width, measured on the weight scale,
     is decided by exact sums; this happens only for near-equal weights.
-    The one residue: the Metropolis threshold exp(gap / kT) is taken from
+    Every downhill move is decided by ``metropolis_accept``.  The one
+    residue: outside the tie band its threshold exp(gap / kT) is taken from
     the tracked gap, which may differ from the exact gap in its last bits.
 
     Candidate generation redraws a move when it lands on an infeasible
@@ -309,11 +306,7 @@ def sa_solve_slot(
 
     rng = _slot_rng(params.rng_seed, slot)
     rnd = rng.random
-    exp = math.exp
-    base = scenario.load(0, slot)
-    cap = scenario.mbs_capacity_limit
-    contrib = [offload_contribution(scenario, j, slot) for j in range(1, n + 1)]
-    weights = sbs_off_weights(scenario, slot)
+    base, cap, contrib, weights = slot_problem(scenario, slot)
 
     neighborhoods = (0, 1, 2) if n >= 2 else (0,)
     k = params.k_factor * n
@@ -375,14 +368,13 @@ def sa_solve_slot(
     best, best_val = current, cur_val
     best_lo = best_val - tie
 
-    kboltz = params.boltzmann_k
     nm1 = n - 1
     p_shake = params.shake_flip_prob
     evaluations = 0
     skipped = 0
 
     for level in range(params.temperature_levels()):
-        kt = kboltz * (params.t_init - level * params.alpha)
+        temperature = params.t_init - level * params.alpha
         for _ in range(k):
             for kind in neighborhoods:
                 if empty_steps and (current << 2) | kind in empty_steps:
@@ -423,15 +415,18 @@ def sa_solve_slot(
                 if gap > tie:
                     accept = True
                 elif gap < -tie:
-                    accept = rnd() < exp(gap / kt)
+                    accept = metropolis_accept(cur_val, val, temperature, params, rng)
                 elif dv[a] == 0.0 and dv[b] == 0.0:
                     # an equal-bit swap or zero weights: the exact sum is unchanged
                     accept = True
                 else:
-                    exact_gap = _ascending_sum(
-                        current ^ bit[a] ^ bit[b], 0.0, weights
-                    ) - _ascending_sum(current, 0.0, weights)
-                    accept = exact_gap >= 0.0 or rnd() < exp(exact_gap / kt)
+                    accept = metropolis_accept(
+                        _ascending_sum(current, 0.0, weights),
+                        _ascending_sum(current ^ bit[a] ^ bit[b], 0.0, weights),
+                        temperature,
+                        params,
+                        rng,
+                    )
                 if accept:
                     current ^= bit[a] ^ bit[b]
                     cur_load, cur_val = lv, val
@@ -466,7 +461,7 @@ def sa_solve_slot(
 
 
 def es_solve_slot(
-    scenario: Scenario, slot: int, cap: int = ES_MAX_SBS
+    scenario: Scenario, slot: int
 ) -> tuple[SwitchVector, RevenueBreakdown, int]:
     """Enumerate every switch vector and return the feasible revenue maximizer.
 
@@ -476,9 +471,9 @@ def es_solve_slot(
     visited, 2^N, infeasible ones included.
     """
     n = scenario.num_sbs
-    if n > cap:
+    if n > ES_MAX_SBS:
         raise EnumerationCapError(
-            f"{n} SBSs means 2^{n} states; enumeration is capped at {cap} SBSs"
+            f"{n} SBSs means 2^{n} states; enumeration is capped at {ES_MAX_SBS} SBSs"
         )
     best_switch = None
     best_revenue = None
@@ -535,9 +530,7 @@ def sorting_solve_slot(
         range(n), key=util.__getitem__, reverse=order is SortOrder.DESCENDING
     )
 
-    cap = scenario.mbs_capacity_limit
-    contrib = scenario._contrib_by_slot[slot]
-    base = scenario.load(0, slot)
+    base, cap, contrib, _ = slot_problem(scenario, slot)
     # each of the two sums is off by at most one rounding (eps x scale) per
     # addition, and a prefix makes at most n of them
     rel = max(SA_GUARD_REL, n * sys.float_info.epsilon)
@@ -560,7 +553,6 @@ def solve_day(
     scenario: Scenario,
     method: Method | str,
     params: SaParams | None = None,
-    es_cap: int = ES_MAX_SBS,
 ) -> SolverResult:
     """Run one method independently on every slot and aggregate the day.
 
@@ -581,7 +573,7 @@ def solve_day(
         if method is Method.SA:
             switch, revenue, evals = sa_solve_slot(scenario, slot, params)
         elif method is Method.ES:
-            switch, revenue, evals = es_solve_slot(scenario, slot, cap=es_cap)
+            switch, revenue, evals = es_solve_slot(scenario, slot)
         else:
             order = (
                 SortOrder.ASCENDING if method is Method.A_TYPE else SortOrder.DESCENDING

@@ -7,9 +7,9 @@ from hetlease import (
     OffloadMode,
     SwitchVector,
     is_feasible,
-    offload_contribution,
     offloaded_mbs_load,
     reference_scenario,
+    slot_problem,
 )
 
 import oracles
@@ -29,7 +29,7 @@ def test_direct_offload_adds_raw_load():
 def test_capacity_scaled_offload_weights_by_blocks():
     # micro has 50 RBs against the macro's 100, so its load counts half
     scn = build_tiny([[0.3, 0.25]], mode=OffloadMode.CAPACITY_SCALED)
-    assert offload_contribution(scn, 1, 0) == pytest.approx(0.125, abs=1e-12)
+    assert slot_problem(scn, 0).contrib[0] == pytest.approx(0.125, abs=1e-12)
     assert offloaded_mbs_load(scn, 0, switch_off(1, 1)) == pytest.approx(0.425, abs=1e-12)
 
 
@@ -56,11 +56,12 @@ def test_all_on_always_feasible_and_conserving():
 
 
 def test_contribution_index_bounds():
+    # one contribution per SBS, none for the macro
     scn = build_tiny([[0.1, 0.1]])
+    contrib = slot_problem(scn, 0).contrib
+    assert len(contrib) == scn.num_sbs
     with pytest.raises(IndexError):
-        offload_contribution(scn, 0, 0)
-    with pytest.raises(IndexError):
-        offload_contribution(scn, 2, 0)
+        contrib[scn.num_sbs]
 
 
 @pytest.mark.parametrize("mode", [OffloadMode.DIRECT, OffloadMode.CAPACITY_SCALED])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,15 @@ from hetlease import (
     BaseStation,
     BsKind,
     ConfigError,
+    OffloadMode,
     PricingSeries,
     RevenueBreakdown,
     SwitchVector,
     TimeGrid,
     TrafficSeries,
+    bench_scenario,
     default_parameter_set,
+    reference_scenario,
 )
 
 from conftest import build_tiny, switch_off
@@ -137,6 +141,11 @@ class TestSwitchVector:
         sv = switch_off(5, 1, 4)
         assert sv.gamma == (True, False, True, True, False, True)
 
+    @pytest.mark.parametrize("off", [[5], [-1], [1, 4]])
+    def test_off_indices_out_of_range(self, off):
+        with pytest.raises(ValueError):
+            SwitchVector.from_off_indices(off, 3)
+
 
 class TestRevenueBreakdown:
     def test_composition_exact(self):
@@ -181,3 +190,48 @@ class TestScenarioValidation:
         assert scn.num_slots == 2
         assert scn.load(1, 1) == pytest.approx(0.1)
         assert scn.demand(1, 0) == 7
+
+
+def _with_sbs(n: int, mode: OffloadMode):
+    """The reference network cut to n SBSs, or the benchmark one beyond 12."""
+    scn = bench_scenario(n) if n > 12 else reference_scenario()
+    return dataclasses.replace(
+        scn,
+        stations=scn.stations[: n + 1],
+        traffic=scn.traffic[: n + 1],
+        sn_demand=scn.sn_demand[:n],
+        offload_mode=mode,
+    )
+
+
+class TestScenarioTables:
+    @pytest.mark.parametrize("mode", list(OffloadMode))
+    @pytest.mark.parametrize("n", [0, 1, 12, 128])
+    def test_tables_equal_element_wise_definitions(self, n, mode):
+        scn = _with_sbs(n, mode)
+        assert scn.num_sbs == n
+        mbs = scn.stations[0]
+        ratios = [
+            1.0 if mode is OffloadMode.DIRECT else bs.rb_capacity / mbs.rb_capacity
+            for bs in scn.stations[1:]
+        ]
+        for t in range(scn.num_slots):
+            loads = [float(ts.values[t]) for ts in scn.traffic]
+            contrib = [loads[j + 1] * ratios[j] for j in range(n)]
+            active = [bs.power(loads[i]) for i, bs in enumerate(scn.stations)]
+            allon = active[0]
+            for power in active[1:]:
+                allon += power
+            got = (
+                scn._loads_by_slot[t],
+                scn._contrib_by_slot[t],
+                scn._active_power_by_slot[t],
+                [scn._allon_power_by_slot[t]],
+            )
+            for table, want in zip(got, (loads, contrib, active, [allon])):
+                assert [x.hex() for x in table] == [x.hex() for x in want]
+            assert scn._demands_by_slot[t] == tuple(
+                int(scn.sn_demand[j, t]) for j in range(n)
+            )
+            assert scn._elec_by_slot[t].hex() == float(scn.pricing.electricity[t]).hex()
+            assert scn._spectrum_by_slot[t].hex() == float(scn.pricing.spectrum[t]).hex()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hetlease import (
+    ES_MAX_SBS,
     DegenerateInstanceError,
     EnumerationCapError,
     Method,
@@ -377,9 +378,10 @@ class TestExhaustiveSearch:
         assert evaluations == 4
 
     def test_enumeration_cap(self):
-        scn = bench_scenario(5)
+        # raises before it enumerates anything
+        scn = bench_scenario(ES_MAX_SBS + 1)
         with pytest.raises(EnumerationCapError):
-            es_solve_slot(scn, 0, cap=4)
+            es_solve_slot(scn, 0)
 
     def test_matches_naive_enumeration(self):
         scn = bench_scenario(4, seed=3)
