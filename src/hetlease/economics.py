@@ -15,14 +15,12 @@ from typing import NamedTuple
 
 from .feasibility import offloaded_mbs_load
 from .model import (
+    WATT_MIN_PER_KWH,
     InfeasibleSwitchError,
     RevenueBreakdown,
     Scenario,
     SwitchVector,
 )
-
-# watt-minutes per kilowatt-hour: 1000 W x 60 min
-WATT_MIN_PER_KWH = 60000.0
 
 
 def energy_factor(scenario: Scenario) -> float:
@@ -97,21 +95,13 @@ def sbs_off_weights(scenario: Scenario, slot: int) -> list[float]:
     load, and leasing income is a per-station product.  Total revenue of
     any switch vector therefore equals the sum of these weights over its
     off set, which gives solvers an O(1)-update objective.
+
+    Weight j is ``(active - sleep - contrib * zeta * p_tx) * factor * elec
+    + demand * rb_price`` for SBS j+1, with the macro's ``zeta`` and
+    ``p_tx``, ``energy_factor`` and the slot's prices; the scenario builds
+    the table once, in that arithmetic order.
     """
-    mbs = scenario.stations[0]
-    zeta, p_tx = mbs.zeta, mbs.p_tx
-    factor = energy_factor(scenario)
-    elec = scenario._elec_by_slot[slot]
-    rb_price = scenario._spectrum_by_slot[slot]
-    return [
-        (active - sleep - contrib * zeta * p_tx) * factor * elec + demand * rb_price
-        for active, sleep, contrib, demand in zip(
-            scenario._active_power_by_slot[slot][1:],
-            scenario._sleep_powers[1:],
-            scenario._contrib_by_slot[slot],
-            scenario._demands_by_slot[slot],
-        )
-    ]
+    return scenario._weights_by_slot[slot].tolist()
 
 
 class SlotProblem(NamedTuple):

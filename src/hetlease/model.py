@@ -18,6 +18,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# watt-minutes per kilowatt-hour: 1000 W x 60 min
+WATT_MIN_PER_KWH = 60000.0
+
 
 class ConfigError(ValueError):
     """Raised when a scenario or solver configuration is inconsistent."""
@@ -371,10 +374,12 @@ class Scenario:
         # Per-slot tables, one row per slot, built with whole-array
         # operations in the arithmetic order of their element-wise
         # definitions (``BaseStation.power``, the all-on total in ascending
-        # station order), so every entry is the same double.  Rows are
-        # array('d'), a quarter of the memory of a tuple of floats: the
-        # canonical checks read single entries thousands of times per slot,
-        # and a numpy scalar read costs about twice an array('d') read.
+        # station order, each sleeping SBS's revenue weight as
+        # ``economics.sbs_off_weights`` states it), so every entry is the
+        # same double.  Rows are array('d'), a quarter of the memory of a
+        # tuple of floats: the canonical checks read single entries
+        # thousands of times per slot, and a numpy scalar read costs about
+        # twice an array('d') read.
         stations = self.stations
         loads = np.stack([ts.values for ts in self.traffic], axis=1)
         contrib = loads[:, 1:]
@@ -391,9 +396,18 @@ class Scenario:
         allon = active_power[:, 0].copy()
         for i in range(1, len(stations)):
             allon += active_power[:, i]
+        prices = self.pricing
+        sleep = np.array([bs.p_sleep for bs in stations[1:]], dtype=np.float64)
+        factor = self.grid.slot_min / WATT_MIN_PER_KWH
+        weights = (
+            active_power[:, 1:] - sleep - contrib * zeta[0] * p_tx[0]
+        ) * factor * prices.electricity[:, None] + demand.T * prices.spectrum[:, None]
 
         def rows(table: np.ndarray) -> tuple[array, ...]:
-            return tuple(array("d", row.tobytes()) for row in table)
+            # one conversion, then a slice per row: half the cost of
+            # converting each row on its own
+            flat, width = array("d", table.tobytes()), table.shape[1]
+            return tuple([flat[i * width:(i + 1) * width] for i in range(len(table))])
 
         object.__setattr__(self, "_loads_by_slot", rows(loads))
         object.__setattr__(
@@ -402,8 +416,8 @@ class Scenario:
         object.__setattr__(self, "_contrib_by_slot", rows(contrib))
         object.__setattr__(self, "_active_power_by_slot", rows(active_power))
         object.__setattr__(self, "_allon_power_by_slot", tuple(allon.tolist()))
+        object.__setattr__(self, "_weights_by_slot", rows(weights))
         object.__setattr__(self, "_sleep_powers", tuple(bs.p_sleep for bs in stations))
-        prices = self.pricing
         object.__setattr__(self, "_elec_by_slot", tuple(prices.electricity.tolist()))
         object.__setattr__(self, "_spectrum_by_slot", tuple(prices.spectrum.tolist()))
 

@@ -414,6 +414,8 @@ def _check_number_types(config: dict) -> None:
         _require_number(config["grid"][key], f"grid.{key}", integer=True)
     tcfg = config["traffic"]
     _require_number(tcfg["seed"], "traffic.seed", integer=True)
+    if tcfg["seed"] < 0:
+        raise ConfigError(f"traffic.seed must be non-negative, got {tcfg['seed']!r}")
     if tcfg["scale"] is not None:
         if not isinstance(tcfg["scale"], list):
             raise ConfigError(f"traffic.scale must be a list, got {tcfg['scale']!r}")

@@ -24,7 +24,7 @@ import math
 import random
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .economics import slot_problem, total_revenue_slot
@@ -44,6 +44,11 @@ logger = logging.getLogger(__name__)
 
 # exhaustive search hard cap: 2^24 states per slot is the most we ever enumerate
 ES_MAX_SBS = 24
+
+# exhaustive search tables the loads of every mask of this many low bits
+# once, then reuses that table for each block of masks sharing their high
+# bits: 2^12 floats at any N, where a full table at N = 24 takes ~0.5 GB
+_ES_BLOCK_BITS = 12
 
 # random candidate draws before falling back to enumerating the neighborhood
 _RETRY_DRAWS = 32
@@ -69,6 +74,33 @@ def _ascending_sum(mask: int, start: float, terms: Sequence[float]) -> float:
         mask >>= 1
         j += 1
     return total
+
+
+def _ascending_sums(n: int, start: float, terms: Sequence[float]) -> Iterator[float]:
+    """``_ascending_sum(mask, start, terms)`` for every mask in
+    ``range(1 << n)``, in increasing mask order, bit for bit.
+
+    The low ``min(n, _ES_BLOCK_BITS)`` bits are tabled once with the
+    doubling recurrence ``sum[m | 1 << j] = sum[m] + terms[j]`` for
+    ``m < 2^j``, which adds each term after every lower one.  Each block of
+    masks that share their high bits then adds those bits to the table in
+    ascending order, so memory stays at a few blocks whatever ``n`` is.
+    """
+    low = min(n, _ES_BLOCK_BITS)
+    table = [start]
+    for j in range(low):
+        term = terms[j]
+        table += [x + term for x in table]
+    for high in range(1 << (n - low)):
+        block = table
+        j = low
+        while high:
+            if high & 1:
+                term = terms[j]
+                block = [x + term for x in block]
+            high >>= 1
+            j += 1
+        yield from block
 
 
 @dataclass(frozen=True)
@@ -465,22 +497,26 @@ def es_solve_slot(
 ) -> tuple[SwitchVector, RevenueBreakdown, int]:
     """Enumerate every switch vector and return the feasible revenue maximizer.
 
-    Every mask is pushed through the canonical feasibility check and
-    objective.  Ties are broken toward fewer SBSs off, then the lower
-    off-bitmask value.  The evaluation count equals the number of masks
-    visited, 2^N, infeasible ones included.
+    Every one of the 2^N masks is visited and counted as one evaluation,
+    infeasible ones included.  Each mask's macro load is read from
+    ``_ascending_sums``, the same double ``offloaded_mbs_load`` gives, so a
+    mask over the capacity limit, which fails the first test of
+    ``is_feasible``, is rejected there.  Every other mask goes through the
+    canonical feasibility check and objective.  Ties are broken toward
+    fewer SBSs off, then the lower off-bitmask value.
     """
     n = scenario.num_sbs
     if n > ES_MAX_SBS:
         raise EnumerationCapError(
             f"{n} SBSs means 2^{n} states; enumeration is capped at {ES_MAX_SBS} SBSs"
         )
+    base, cap, contrib, _ = slot_problem(scenario, slot)
     best_switch = None
     best_revenue = None
     best_key = None
-    evaluations = 0
-    for mask in range(1 << n):
-        evaluations += 1
+    for mask, load in enumerate(_ascending_sums(n, base, contrib)):
+        if load > cap:
+            continue
         switch = SwitchVector.from_off_mask(mask, n)
         if not is_feasible(scenario, slot, switch).feasible:
             continue
@@ -490,7 +526,7 @@ def es_solve_slot(
             best_switch, best_revenue, best_key = switch, revenue, key
     # mask 0 (all-on) is always feasible, so a maximizer always exists
     assert best_switch is not None and best_revenue is not None
-    return best_switch, best_revenue, evaluations
+    return best_switch, best_revenue, 1 << n
 
 
 def utility_vector(scenario: Scenario, slot: int) -> list[float]:

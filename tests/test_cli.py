@@ -194,6 +194,7 @@ def test_unknown_method_is_an_error(small_config, tmp_path, capsys):
     "yaml_text,key",
     [
         ("traffic: {scale: 5}", "traffic.scale"),
+        ("traffic: {seed: -5}", "traffic.seed"),
         ("grid: {slot_min: ten}", "grid.slot_min"),
         ("stations: [{kind: macro}, {kind: micro, p_o: x}]", "p_o"),
         ("demand: {beta: null}", "demand.beta"),
@@ -221,6 +222,14 @@ def test_mistyped_config_value_is_a_one_line_error(tmp_path, capsys, yaml_text, 
     assert len(err) == 1
     assert err[0].startswith("error:")
     assert key in err[0]
+
+
+def test_negative_seed_option_is_a_one_line_error(small_config, tmp_path, capsys):
+    code = main(["run", "--config", str(small_config), "--seed", "-1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: traffic.seed must be non-negative, got -1"]
 
 
 def test_malformed_yaml_is_a_one_line_error(tmp_path, capsys):

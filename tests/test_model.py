@@ -222,13 +222,24 @@ class TestScenarioTables:
             allon = active[0]
             for power in active[1:]:
                 allon += power
+            factor = scn.grid.slot_min / 60000.0
+            elec = float(scn.pricing.electricity[t])
+            price = float(scn.pricing.spectrum[t])
+            weights = [
+                (active[j + 1] - bs.p_sleep - contrib[j] * mbs.zeta * mbs.p_tx)
+                * factor * elec
+                + int(scn.sn_demand[j, t]) * price
+                for j, bs in enumerate(scn.stations[1:])
+            ]
             got = (
                 scn._loads_by_slot[t],
                 scn._contrib_by_slot[t],
                 scn._active_power_by_slot[t],
                 [scn._allon_power_by_slot[t]],
+                scn._weights_by_slot[t],
             )
-            for table, want in zip(got, (loads, contrib, active, [allon])):
+            for table, want in zip(got, (loads, contrib, active, [allon], weights)):
+                assert len(table) == len(want)
                 assert [x.hex() for x in table] == [x.hex() for x in want]
             assert scn._demands_by_slot[t] == tuple(
                 int(scn.sn_demand[j, t]) for j in range(n)

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from hetlease import (
     neighbor_one_reserve,
     neighbor_swap,
     neighbor_two_reserve,
+    offloaded_mbs_load,
     reference_scenario,
     sa_solve_slot,
     shake,
+    slot_problem,
     solve_day,
     sorting_solve_slot,
     total_revenue_slot,
@@ -242,11 +245,11 @@ class TestSimulatedAnnealing:
         assert revenue == again
 
 
-def tight_bench_scenario():
-    """bench_scenario(16) with the macro capped just above its 0.55 peak,
+def tight_bench_scenario(n=16, limit=0.58):
+    """bench_scenario(n) with the macro capped just above its 0.55 peak,
     so busy slots allow few sleeping cells and neighbourhoods run empty."""
-    config = bench_config(16, 7)
-    config["mbs_capacity_limit"] = 0.58
+    config = bench_config(n, 7)
+    config["mbs_capacity_limit"] = limit
     return build_scenario(config)
 
 
@@ -392,6 +395,112 @@ class TestExhaustiveSearch:
             assert evaluations == visited == 16
             assert revenue.total == pytest.approx(naive_best, abs=1e-9)
             assert switch.gamma == gamma
+
+
+class TestEsLoadTable:
+    # tight14 has N > 12, so its table is built in blocks
+    @pytest.mark.parametrize("name,slot", [
+        ("ref", 0), ("ref", 66), ("ref", 96), ("tight14", 78), ("tight14", 96),
+    ])
+    def test_every_entry_is_the_canonical_load(self, name, slot):
+        scn = reference_scenario() if name == "ref" else tight_bench_scenario(14, 0.56)
+        n = scn.num_sbs
+        problem = slot_problem(scn, slot)
+        table = list(solvers._ascending_sums(n, problem.base, problem.contrib))
+        assert len(table) == 1 << n
+        want = [
+            offloaded_mbs_load(scn, slot, SwitchVector.from_off_mask(m, n)).hex()
+            for m in range(1 << n)
+        ]
+        assert [x.hex() for x in table] == want
+        # the capacity binds: some masks are rejected from the table
+        assert 0 < sum(x > problem.cap for x in table) < len(table)
+
+    def test_memory_stays_at_a_few_blocks_at_the_cap(self):
+        # with terms 2^j every sum is the mask itself, exactly
+        terms = [2.0 ** j for j in range(ES_MAX_SBS)]
+        tracemalloc.start()
+        try:
+            sums = solvers._ascending_sums(ES_MAX_SBS, 0.0, terms)
+            head = list(itertools.islice(sums, 3 << 12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert head == [float(m) for m in range(3 << 12)]
+        assert peak < 4 << 20  # a full table of 2^24 floats takes ~0.5 GB
+
+
+class TestEsMatchesOracle:
+    @staticmethod
+    def check(scn):
+        switch, revenue, evaluations = es_solve_slot(scn, 0)
+        gamma, naive_best, visited = oracles.enumerate_best(scn, 0)
+        assert evaluations == visited == 1 << scn.num_sbs
+        assert switch.gamma == gamma
+        assert revenue.total == pytest.approx(naive_best, abs=1e-9)
+        return switch
+
+    def test_random_tiny_instances(self):
+        instances = random_greedy_instances(140, seed=23)
+        at_capacity = 0
+        for scn in instances:
+            self.check(scn)
+            loads = [scn.load(j, 0) for j in range(1, scn.num_sbs + 1)]
+            at_capacity += any(
+                ascending_load(scn.load(0, 0), loads, m) == scn.mbs_capacity_limit
+                for m in range(1, 1 << scn.num_sbs)
+            )
+        assert 0 in {scn.num_sbs for scn in instances}
+        assert at_capacity > 0
+
+    @pytest.mark.parametrize("base,loads,boundary,near", GUARD_CASES)
+    def test_mask_at_capacity_and_one_ulp_above(self, base, loads, boundary, near):
+        limit = ascending_load(base, loads, boundary)
+        table = list(solvers._ascending_sums(len(loads), base, loads))
+        assert table[boundary] == limit < table[near]
+        # demand makes the one-ulp-over mask the best once it fits
+        demand = [30 if near >> j & 1 else 1 for j in range(len(loads))]
+        roomy = build_tiny([[base] + loads], demand=demand, limit=table[near])
+        assert self.check(roomy).off_mask() == near
+        scn = build_tiny([[base] + loads], demand=demand, limit=limit)
+        assert self.check(scn).off_mask() != near
+
+    def test_only_all_on_fits(self):
+        # every single SBS asleep pushes the macro past its capacity
+        scn = build_tiny([[0.9, 0.2, 0.3, 0.15]], demand=[40, 40, 40])
+        assert self.check(scn) == scn.all_on()
+
+
+# (variant, slot, off mask, evaluations, revenue.total.hex()) recorded from
+# an exhaustive search that sent every mask through the canonical check;
+# quiet hours (slots 0, 24, 132) let most masks fit, at busy hours
+# (84-102 on fixed-ndt) only all-on does
+ES_GOLDEN = [
+    ("fixed-ndt", 0, 0x17f, 4096, "0x1.e2c746f8eac7fp+1"),
+    ("fixed-ndt", 24, 0xff, 4096, "0x1.d22624c1a7fd3p+1"),
+    ("fixed-ndt", 48, 0x3f, 4096, "0x1.2352711bc7b45p+2"),
+    ("fixed-ndt", 54, 0x1f, 4096, "0x1.4495244682153p+2"),
+    ("fixed-ndt", 66, 0xe, 4096, "0x1.0a4afe3752565p+2"),
+    ("fixed-ndt", 78, 0x4, 4096, "0x1.3c329f0326c9cp+1"),
+    ("fixed-ndt", 96, 0x0, 4096, "0x0.0p+0"),
+    ("fixed-ndt", 108, 0x2, 4096, "0x1.2b8f80aa0f5f7p+1"),
+    ("fixed-ndt", 132, 0x3f, 4096, "0x1.020bc698b96f4p+2"),
+    ("dynamic-dt", 0, 0x1bf, 4096, "0x1.a5f51658d6bd3p+3"),
+    ("dynamic-dt", 24, 0x17f, 4096, "0x1.31cabd37421d4p+4"),
+    ("dynamic-dt", 108, 0x1, 4096, "0x1.31425f528bd1bp+0"),
+    ("dynamic-dt", 132, 0x1b7, 4096, "0x1.9d6c9b2a887f0p+2"),
+]
+
+
+class TestEsGolden:
+    @pytest.mark.parametrize("name,slot,mask,evals,total", ES_GOLDEN)
+    def test_matches_recorded_run(self, variants, name, slot, mask, evals, total):
+        switch, revenue, evaluations = es_solve_slot(variants[name], slot)
+        assert (switch.off_mask(), evaluations, revenue.total.hex()) == (
+            mask,
+            evals,
+            total,
+        )
 
 
 class TestUtilityRanking:
