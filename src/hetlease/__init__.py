@@ -84,11 +84,7 @@ from .solvers import (
     SortOrder,
     es_solve_slot,
     metropolis_accept,
-    neighbor_one_reserve,
-    neighbor_swap,
-    neighbor_two_reserve,
     sa_solve_slot,
-    shake,
     solve_day,
     sorting_solve_slot,
     utility_vector,

@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CsvFormatError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, CsvFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -55,11 +55,13 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _read_yaml(path):
-    """Parse one YAML document with the safe loader; a syntax error becomes
-    a ConfigError that names the file."""
+    """Parse one YAML document with the safe loader; a syntax error or a
+    file that is not UTF-8 becomes a ConfigError that names the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             return yaml.load(fh, Loader=_YAML_LOADER)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             if mark is None:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from .economics import slot_problem, total_revenue_slot
 from .feasibility import is_feasible
 from .model import (
-    DegenerateInstanceError,
     EnumerationCapError,
     InfeasibleSwitchError,
     RevenueBreakdown,
@@ -52,9 +51,6 @@ _ES_BLOCK_BITS = 12
 
 # random candidate draws before falling back to enumerating the neighborhood
 _RETRY_DRAWS = 32
-
-# random initial-solution draws before falling back to all-on
-_INIT_DRAWS = 10_000
 
 # relative width, against the slot's load scale, of the band around the
 # capacity limit inside which the annealer and the greedy re-decide a
@@ -110,7 +106,10 @@ class SaParams:
     Cooling is linear: the temperature starts at ``t_init`` and drops by
     ``alpha`` after every level until it would reach ``t_final``.  Each
     level runs ``k_factor * N`` local iterations, and each iteration
-    tries all three neighborhoods in a fixed order.
+    tries all three neighborhoods in a fixed order.  ``t_init``,
+    ``t_final`` and ``alpha`` are in units of the slot's mean |weight|
+    (1.0 when every weight is 0): ``sa_solve_slot`` multiplies the
+    temperature it passes to ``metropolis_accept`` by that scale.
     """
 
     t_init: float = 1.0
@@ -183,84 +182,34 @@ def _slot_rng(seed: int, slot: int) -> random.Random:
 # --- neighborhood moves over the SBS bits -------------------------------
 #
 # Internally a state is an int bitmask over SBSs: bit j set means SBS
-# j+1 is off.  The macro bit never appears in the mask.
+# j+1 is off.  The macro bit never appears in the mask.  A move is a pair
+# (a, b) of indices whose bits it flips, where index n flips nothing: a
+# one-bit move is (a, n) and a swap of two equal bits is (n, n).
 
-def _two_distinct(rng: random.Random, n: int) -> tuple[int, int]:
-    # uniform over ordered pairs of distinct indices
-    a = rng.randrange(n)
-    b = rng.randrange(n - 1)
-    if b >= a:
-        b += 1
-    return a, b
-
-
-def _move_flip_one(mask: int, rng: random.Random, n: int) -> int:
-    return mask ^ (1 << rng.randrange(n))
-
-
-def _move_flip_two(mask: int, rng: random.Random, n: int) -> int:
-    a, b = _two_distinct(rng, n)
-    return mask ^ (1 << a) ^ (1 << b)
-
-
-def _move_swap(mask: int, rng: random.Random, n: int) -> int:
-    a, b = _two_distinct(rng, n)
-    if (mask >> a) & 1 != (mask >> b) & 1:
-        return mask ^ (1 << a) ^ (1 << b)
-    return mask
-
-
-def _neighborhood_masks(kind: int, mask: int, n: int) -> list[int]:
-    """Every mask one move away, listed once per underlying index choice."""
+def _neighborhood_pairs(
+    kind: int, is_off: Sequence[bool], n: int
+) -> list[tuple[int, int]]:
+    """Every move of one kind (0 flip one, 1 flip two, 2 swap two), listed
+    once per unordered index choice, so a uniform pick from the list has
+    the law of a uniform draw of the indices."""
     if kind == 0:
-        return [mask ^ (1 << j) for j in range(n)]
-    out = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if kind == 1:
-                out.append(mask ^ (1 << a) ^ (1 << b))
-            elif (mask >> a) & 1 != (mask >> b) & 1:
-                out.append(mask ^ (1 << a) ^ (1 << b))
-            else:
-                out.append(mask)
-    return out
+        return [(a, n) for a in range(n)]
+    stay = (n, n)
+    return [
+        (a, b) if kind == 1 or is_off[a] != is_off[b] else stay
+        for a in range(n)
+        for b in range(a + 1, n)
+    ]
 
 
-def neighbor_one_reserve(switch: SwitchVector, rng: random.Random) -> SwitchVector:
-    """Flip one uniformly chosen SBS bit; the macro bit is never touched."""
-    n = switch.num_sbs
-    if n < 1:
-        raise DegenerateInstanceError("one-reserve move needs at least one SBS")
-    return SwitchVector.from_off_mask(_move_flip_one(switch.off_mask(), rng, n), n)
-
-
-def neighbor_two_reserve(switch: SwitchVector, rng: random.Random) -> SwitchVector:
-    """Flip two distinct uniformly chosen SBS bits."""
-    n = switch.num_sbs
-    if n < 2:
-        raise DegenerateInstanceError("two-reserve move needs at least two SBSs")
-    return SwitchVector.from_off_mask(_move_flip_two(switch.off_mask(), rng, n), n)
-
-
-def neighbor_swap(switch: SwitchVector, rng: random.Random) -> SwitchVector:
-    """Exchange the values of two distinct SBS positions; off-count preserved."""
-    n = switch.num_sbs
-    if n < 2:
-        raise DegenerateInstanceError("swap move needs at least two SBSs")
-    return SwitchVector.from_off_mask(_move_swap(switch.off_mask(), rng, n), n)
-
-
-def shake(switch: SwitchVector, params: SaParams, rng: random.Random) -> SwitchVector:
-    """Diversification kick: flip each SBS bit independently with
-    probability ``shake_flip_prob``.  The result may be infeasible; the
-    annealing loop only ever moves to feasible candidates afterwards."""
-    n = switch.num_sbs
-    mask = switch.off_mask()
-    p = params.shake_flip_prob
+def _kick(mask: int, n: int, p: float, rnd) -> int:
+    """Flip each of the n low bits of ``mask`` independently with
+    probability ``p``, one ``rnd()`` draw per bit; the result may be
+    infeasible."""
     for j in range(n):
-        if rng.random() < p:
+        if rnd() < p:
             mask ^= 1 << j
-    return SwitchVector.from_off_mask(mask, n)
+    return mask
 
 
 def metropolis_accept(
@@ -289,17 +238,19 @@ def sa_solve_slot(
     """Simulated annealing over one slot's switch lattice.
 
     The search walks on the additive per-SBS revenue weights (an exact
-    linear decomposition of the objective).  The returned revenue is
-    re-evaluated through the canonical objective.
+    linear decomposition of the objective), starting from all-on, which
+    always fits.  The returned revenue is re-evaluated through the
+    canonical objective.  Temperatures are in units of the slot's mean
+    |weight| (1.0 when every weight is 0), so the schedule means the same
+    at every revenue scale.
 
-    Each evaluation costs O(1) work and the walk keeps O(N) memory: two
-    delta lists hold the signed change of macro load and of search value
-    that flipping each bit of the current state would cause, so a move's
-    load and value are two additions away, and an accepted move negates
-    at most two entries.  The lists and the running load and value are
-    rebuilt exactly, in ascending station order, at the start and after
-    every shake (once per temperature level), so float drift never
-    outlives a level.
+    Each evaluation costs O(1) work: two delta lists hold the signed change
+    of macro load and of search value that flipping each bit of the current
+    state would cause, so a move's load and value are two additions away,
+    and an accepted move negates at most two entries.  The lists and the
+    running load and value are rebuilt exactly, in ascending station order,
+    at the start and after every shake (once per temperature level), so
+    float drift never outlives a level.
 
     Guard bands keep every decision equal to the one the exact ascending
     sums give.  A delta load within ``SA_GUARD_REL`` times the load scale
@@ -312,12 +263,17 @@ def sa_solve_slot(
     residue: outside the tie band its threshold exp(gap / kT) is taken from
     the tracked gap, which may differ from the exact gap in its last bits.
 
-    Candidate generation redraws a move when it lands on an infeasible
-    state; after a bounded number of draws the neighborhood is resolved
-    exactly (enumerate it, pick uniformly among its feasible states, or
-    skip the step when none exists).  The evaluation count therefore
-    equals levels x k x neighborhoods whenever every neighborhood stays
-    non-empty, and only provably-empty steps are skipped.
+    Each step draws uniformly among the feasible moves of one
+    neighborhood.  A step first looks up the state's cached feasible
+    moves, and draws once from them or, when there are none, skips the
+    step.  Without a cache entry it redraws a uniform move until one fits;
+    after ``_RETRY_DRAWS`` misses it enumerates the neighborhood with the
+    same guard band, caches the feasible moves, and draws from them.  Both
+    paths are uniform over the feasible moves.  The evaluation count
+    therefore equals levels x k x neighborhoods whenever every
+    neighborhood stays non-empty, and only provably-empty steps are
+    skipped.  The cache holds only neighborhoods that ran out of draws, so
+    memory is O(N) for a walk on which every move fits.
 
     Args:
         scenario: problem instance.
@@ -349,10 +305,11 @@ def sa_solve_slot(
     rel = max(SA_GUARD_REL, (n + 6 * k + 2) * sys.float_info.epsilon)
     band = rel * (abs(base) + sum(abs(c) for c in contrib))
     sure_fit, sure_miss = cap - band, cap + band
-    tie = 2.0 * rel * sum(abs(w) for w in weights)
+    weight_sum = sum(abs(w) for w in weights)
+    tie = 2.0 * rel * weight_sum
+    t_scale = weight_sum / n or 1.0
 
-    # Index n is a "no flip" sentinel: its deltas are zero and its bit is 0,
-    # so a one-bit move is the pair (a, n) and an equal-bit swap is (n, n).
+    # Index n is a "no flip" sentinel: its deltas are zero and its bit is 0.
     bit = [1 << j for j in range(n)] + [0]
     dl = [0.0] * (n + 1)
     dv = [0.0] * (n + 1)
@@ -366,81 +323,64 @@ def sa_solve_slot(
             dv[j] = -weights[j] if off else weights[j]
         return _ascending_sum(mask, base, contrib), _ascending_sum(mask, 0.0, weights)
 
-    # neighborhoods with no feasible state, resolved by full enumeration;
-    # keyed by (state, move kind) packed into one int
-    empty_steps: set[int] = set()
-    feasible_sets: dict[int, list[int]] = {}
+    # feasible moves of the neighborhoods whose draws ran out, keyed by
+    # (state, move kind) packed into one int; an empty list is an empty
+    # neighborhood
+    cache: dict[int, list[tuple[int, int]]] = {}
 
-    def resolve_by_enumeration(kind: int, cur: int, key: int) -> int | None:
-        feas = feasible_sets.get(key)
-        if feas is None:
-            feas = [
-                c
-                for c in _neighborhood_masks(kind, cur, n)
-                if _ascending_sum(c, base, contrib) <= cap
-            ]
-            feasible_sets[key] = feas
-            if not feas:
-                empty_steps.add(key)
-                logger.debug(
-                    "slot %d: neighborhood %d empty from state %#x", slot, kind, cur
-                )
-        if not feas:
-            return None
-        return feas[int(rnd() * len(feas))]
-
-    # random feasible initial solution; all-on is the guaranteed fallback
     current = 0
-    for _ in range(_INIT_DRAWS):
-        probe = rng.getrandbits(n)
-        if _ascending_sum(probe, base, contrib) <= cap:
-            current = probe
-            break
     cur_load, cur_val = rebuild(current)
     best, best_val = current, cur_val
     best_lo = best_val - tie
 
     nm1 = n - 1
-    p_shake = params.shake_flip_prob
     evaluations = 0
     skipped = 0
 
     for level in range(params.temperature_levels()):
-        temperature = params.t_init - level * params.alpha
+        temperature = (params.t_init - level * params.alpha) * t_scale
         for _ in range(k):
             for kind in neighborhoods:
-                if empty_steps and (current << 2) | kind in empty_steps:
-                    skipped += 1
-                    continue
-                # rejection-sample a feasible neighbor (same move semantics
-                # as the public neighbor_* operations)
-                for _draw in range(_RETRY_DRAWS):
-                    a = int(rnd() * n)
-                    if kind == 0:
-                        b = n
+                moves = cache.get((current << 2) | kind) if cache else None
+                if moves is None:
+                    for _draw in range(_RETRY_DRAWS):
+                        a = int(rnd() * n)
+                        if kind == 0:
+                            b = n
+                        else:
+                            b = int(rnd() * nm1)
+                            if b >= a:
+                                b += 1
+                            if kind == 2 and is_off[a] == is_off[b]:
+                                a = b = n  # swap of equal bits: the state itself
+                        lv = cur_load + dl[a] + dl[b]
+                        if lv <= sure_fit:
+                            break
+                        if lv > sure_miss:
+                            continue
+                        lv = _ascending_sum(current ^ bit[a] ^ bit[b], base, contrib)
+                        if lv <= cap:
+                            break
                     else:
-                        b = int(rnd() * nm1)
-                        if b >= a:
-                            b += 1
-                        if kind == 2 and is_off[a] == is_off[b]:
-                            a = b = n  # swap of equal bits: the state itself
-                    lv = cur_load + dl[a] + dl[b]
-                    if lv <= sure_fit:
-                        break
-                    if lv > sure_miss:
-                        continue
-                    lv = _ascending_sum(current ^ bit[a] ^ bit[b], base, contrib)
-                    if lv <= cap:
-                        break
-                else:
-                    cand = resolve_by_enumeration(kind, current, (current << 2) | kind)
-                    if cand is None:
+                        moves = cache[(current << 2) | kind] = [
+                            (a, b)
+                            for a, b in _neighborhood_pairs(kind, is_off, n)
+                            if (lv := cur_load + dl[a] + dl[b]) <= sure_fit
+                            or lv <= sure_miss
+                            and _ascending_sum(current ^ bit[a] ^ bit[b], base, contrib)
+                            <= cap
+                        ]
+                        if not moves:
+                            logger.debug(
+                                "slot %d: neighborhood %d empty from state %#x",
+                                slot, kind, current,
+                            )
+                if moves is not None:
+                    if not moves:
                         skipped += 1
                         continue
-                    # at most two bits differ; pad the pair with the sentinel
-                    flips = [j for j in range(n) if (cand ^ current) >> j & 1] + [n, n]
-                    a, b = flips[0], flips[1]
-                    lv = _ascending_sum(cand, base, contrib)
+                    a, b = moves[int(rnd() * len(moves))]
+                    lv = cur_load + dl[a] + dl[b]
                 val = cur_val + dv[a] + dv[b]
                 evaluations += 1
                 gap = val - cur_val
@@ -477,11 +417,7 @@ def sa_solve_slot(
                 if trace is not None:
                     trace.append(best_val)
         # diversify: restart the walk from a kicked copy of the best
-        mask = best
-        for j in range(n):
-            if rnd() < p_shake:
-                mask ^= 1 << j
-        current = mask
+        current = _kick(best, n, params.shake_flip_prob, rnd)
         cur_load, cur_val = rebuild(current)
 
     if skipped:

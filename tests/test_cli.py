@@ -243,6 +243,44 @@ def test_malformed_yaml_is_a_one_line_error(tmp_path, capsys):
     assert "line 2" in err[0]
 
 
+def test_non_utf8_yaml_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("traffic: {seed: 3}\n# caf\u00e9\n".encode("latin-1"))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {path}: not UTF-8 text (invalid continuation byte)"]
+
+
+@pytest.mark.parametrize(
+    "case", ["config-dir", "profile-dir", "out-file", "out-under-file"]
+)
+def test_path_errors_are_one_line_errors(small_config, tmp_path, capsys, case):
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    config, out = str(small_config), tmp_path / "out"
+    if case == "config-dir":
+        config = str(a_dir)
+    elif case == "profile-dir":
+        config = tmp_path / "profile.yaml"
+        config.write_text(
+            f"pricing: {{policy: dynamic, electricity_profile: {a_dir}}}\n"
+        )
+    elif case == "out-file":
+        out = a_file
+    else:
+        out = a_file / "sub"
+    code = main(["run", "--config", str(config), "--method", "dtype",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert ("a_dir" if "dir" in case else "a_file") in err[0]
+
+
 @pytest.mark.parametrize("method", ["sa", "es", "atype", "dtype"])
 def test_macro_only_network_runs(tmp_path, method):
     path = tmp_path / "macro.yaml"

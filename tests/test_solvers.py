@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -9,10 +10,10 @@ import pytest
 
 from hetlease import (
     ES_MAX_SBS,
-    DegenerateInstanceError,
     EnumerationCapError,
     Method,
     SaParams,
+    SlotProblem,
     SortOrder,
     SwitchVector,
     bench_config,
@@ -21,13 +22,9 @@ from hetlease import (
     es_solve_slot,
     is_feasible,
     metropolis_accept,
-    neighbor_one_reserve,
-    neighbor_swap,
-    neighbor_two_reserve,
     offloaded_mbs_load,
     reference_scenario,
     sa_solve_slot,
-    shake,
     slot_problem,
     solve_day,
     sorting_solve_slot,
@@ -41,108 +38,182 @@ import oracles
 from conftest import build_tiny, switch_off
 
 
-def hamming(a: SwitchVector, b: SwitchVector) -> int:
-    return sum(x != y for x, y in zip(a.gamma, b.gamma))
-
-
 # chi-square critical values at significance 0.01
-CHI2_99_DF7 = 18.475
-CHI2_99_DF14 = 29.141
+CHI2_99 = {2: 9.210, 3: 11.345, 5: 15.086}
+
+
+def chi2(counts, cells):
+    """Pearson's statistic of ``counts`` against a uniform law on ``cells``."""
+    total = sum(counts.values())
+    assert set(counts) <= set(cells)
+    expected = total / len(cells)
+    return sum((counts.get(c, 0) - expected) ** 2 / expected for c in cells)
+
+
+def moves_from_the_optimum(monkeypatch, contrib, cap, positive=0, seed=0):
+    """Run the annealer on a scripted knapsack row (base load 0) and return
+    the cell sets, as masks, of the moves it draws from the row's optimum,
+    in draw order, the kinds of the neighborhoods it enumerated, and the
+    evaluation count.
+
+    Weight j is +2^j for the cells in the mask ``positive`` and -2^j for
+    the others, so the optimum is ``positive`` and every move from it loses
+    exactly the sum of 2^j over the cells it flips.  Metropolis is replaced
+    by a rule that records that loss and rejects: once at the optimum the
+    walk stays there, and with ``shake_flip_prob`` 0 every level restarts
+    from it.  From the optimum each one-cell and two-cell step is recorded;
+    a swap is recorded only when it exchanges cells of both kinds.
+    """
+    n = len(contrib)
+    weights = [float(1 << j) if positive >> j & 1 else -float(1 << j) for j in range(n)]
+    top = sum(w for w in weights if w > 0)
+    drawn, enumerated = [], []
+
+    def record_and_reject(current, candidate, temperature, params, rng):
+        if current == top:
+            drawn.append(int(current - candidate))
+        return False
+
+    def counting_pairs(kind, is_off, n):
+        enumerated.append(kind)
+        return real_pairs(kind, is_off, n)
+
+    real_pairs = solvers._neighborhood_pairs
+    row = SlotProblem(0.0, cap, contrib, weights)
+    monkeypatch.setattr(solvers, "slot_problem", lambda scenario, slot: row)
+    monkeypatch.setattr(solvers, "metropolis_accept", record_and_reject)
+    monkeypatch.setattr(solvers, "_neighborhood_pairs", counting_pairs)
+    params = SaParams(shake_flip_prob=0.0, rng_seed=seed)
+    switch, _, evaluations = sa_solve_slot(bench_scenario(n), 0, params)
+    assert switch.off_mask() == positive
+    return drawn, enumerated, evaluations
+
+
+# from all-on, cells 0-3 fit alone and in pairs, cells 4 and 5 never fit:
+# 4 of 6 one-cell moves and 6 of 15 pairs, so rejection sampling never
+# runs out of draws
+ROOMY_ROW = ([0.2] * 4 + [0.6] * 2, 0.5)
+# from all-on, 3 of 8 one-cell moves and 3 of 28 pairs fit: the pairs run
+# out of draws early and are then drawn from the cached list
+CRAMPED_ROW = ([0.2] * 3 + [0.6] * 5, 0.5)
+
+
+def feasible_sets(contrib, cap, size):
+    """Masks of the ``size``-cell sets whose loads fit under ``cap``."""
+    return [
+        sum(1 << j for j in cells)
+        for cells in itertools.combinations(range(len(contrib)), size)
+        if sum(contrib[j] for j in cells) <= cap
+    ]
 
 
 class TestNeighborhoodMoves:
-    def test_one_reserve_flips_exactly_one_sbs(self):
-        rng = random.Random(1)
-        sv = switch_off(8, 2, 5)
-        for _ in range(10_000):
-            out = neighbor_one_reserve(sv, rng)
-            assert hamming(sv, out) == 1
-            assert out.gamma[0]
+    """The annealer's own draws, observed through ``moves_from_the_optimum``."""
 
-    def test_two_reserve_flips_exactly_two(self):
-        rng = random.Random(2)
-        sv = switch_off(8, 1)
-        for _ in range(10_000):
-            out = neighbor_two_reserve(sv, rng)
-            assert hamming(sv, out) == 2
-            assert out.gamma[0]
+    def test_one_reserve_flips_exactly_one_sbs(self, monkeypatch):
+        drawn, _, _ = moves_from_the_optimum(monkeypatch, [0.1] * 8, 1.0)
+        singles = drawn[0::2]
+        assert singles and all(m.bit_count() == 1 and m < 1 << 8 for m in singles)
 
-    def test_swap_preserves_off_count(self):
-        rng = random.Random(3)
-        sv = switch_off(8, 3, 4, 7)
-        for _ in range(10_000):
-            out = neighbor_swap(sv, rng)
-            assert sum(out.gamma) == sum(sv.gamma)
-            assert hamming(sv, out) in (0, 2)
+    def test_two_reserve_flips_exactly_two(self, monkeypatch):
+        drawn, _, _ = moves_from_the_optimum(monkeypatch, [0.1] * 8, 1.0)
+        pairs = drawn[1::2]
+        assert pairs and all(m.bit_count() == 2 and m < 1 << 8 for m in pairs)
 
-    def test_swap_of_uniform_vector_is_identity(self):
-        rng = random.Random(4)
-        sv = SwitchVector.all_on(6)
-        for _ in range(100):
-            assert neighbor_swap(sv, rng) == sv
+    def test_swap_preserves_off_count(self, monkeypatch):
+        off = 0b101001
+        drawn, _, _ = moves_from_the_optimum(monkeypatch, [0.1] * 6, 1.0, positive=off)
+        # between two one-cell moves come the two-cell move, then the swap
+        # when it exchanged cells of both kinds; the first group may start
+        # mid-iteration, before the walk reached the optimum
+        starts = [i for i, m in enumerate(drawn) if m.bit_count() == 1]
+        swaps = []
+        for i, j in zip(starts[1:], starts[2:] + [len(drawn)]):
+            assert j - i in (2, 3)
+            swaps += drawn[i + 2 : j]
+        crossing = {(1 << a) | (1 << b) for a in range(6) for b in range(6)
+                    if off >> a & 1 and not off >> b & 1}
+        assert set(swaps) == crossing
+        # 9 of the 15 index pairs cross
+        assert abs(len(swaps) / len(starts) - 9 / 15) < 0.03
 
-    def test_degenerate_sizes_rejected(self):
-        rng = random.Random(5)
-        with pytest.raises(DegenerateInstanceError):
-            neighbor_one_reserve(SwitchVector.all_on(0), rng)
-        with pytest.raises(DegenerateInstanceError):
-            neighbor_two_reserve(SwitchVector.all_on(1), rng)
-        with pytest.raises(DegenerateInstanceError):
-            neighbor_swap(SwitchVector.all_on(1), rng)
+    def test_swap_of_uniform_vector_is_identity(self, monkeypatch):
+        # from all-on every swap exchanges two equal bits: it is evaluated as
+        # the state itself and never reaches the Metropolis rule
+        drawn, _, evaluations = moves_from_the_optimum(monkeypatch, [0.1] * 6, 1.0)
+        assert evaluations == oracles.expected_sa_evaluations(6)
+        assert len(drawn) == 2 * evaluations // 3
 
-    def test_one_reserve_picks_bits_uniformly(self):
-        rng = random.Random(6)
-        sv = SwitchVector.all_on(8)
-        counts = [0] * 8
-        trials = 100_000
-        for _ in range(trials):
-            out = neighbor_one_reserve(sv, rng)
-            for j in range(1, 9):
-                if out.gamma[j] != sv.gamma[j]:
-                    counts[j - 1] += 1
-                    break
-        expected = trials / 8
-        chi2 = sum((c - expected) ** 2 / expected for c in counts)
-        assert chi2 < CHI2_99_DF7
+    def test_degenerate_sizes_rejected(self, monkeypatch):
+        # a single SBS has no two-cell moves, so only one-cell steps run
+        assert solvers._neighborhood_pairs(1, [False, False], 1) == []
+        assert solvers._neighborhood_pairs(2, [False, False], 1) == []
+        drawn, _, evaluations = moves_from_the_optimum(monkeypatch, [0.1], 1.0)
+        assert evaluations == oracles.expected_sa_evaluations(1) == len(drawn)
+        assert set(drawn) == {1}
 
-    def test_two_reserve_picks_pairs_uniformly(self):
-        rng = random.Random(7)
-        sv = SwitchVector.all_on(6)
-        counts = {}
-        trials = 100_000
-        for _ in range(trials):
-            out = neighbor_two_reserve(sv, rng)
-            flipped = tuple(
-                j for j in range(1, 7) if out.gamma[j] != sv.gamma[j]
-            )
-            counts[flipped] = counts.get(flipped, 0) + 1
-        assert len(counts) == 15
-        expected = trials / 15
-        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-        assert chi2 < CHI2_99_DF14
+    def test_one_reserve_picks_bits_uniformly(self, monkeypatch):
+        drawn, enumerated, _ = moves_from_the_optimum(monkeypatch, *ROOMY_ROW)
+        singles = [m for m in drawn if m.bit_count() == 1]
+        cells = feasible_sets(*ROOMY_ROW, 1)
+        assert len(cells) == 4 and not enumerated
+        assert chi2(collections.Counter(singles), cells) < CHI2_99[3]
+
+    def test_two_reserve_picks_pairs_uniformly(self, monkeypatch):
+        drawn, enumerated, _ = moves_from_the_optimum(monkeypatch, *ROOMY_ROW)
+        pairs = [m for m in drawn if m.bit_count() == 2]
+        cells = feasible_sets(*ROOMY_ROW, 2)
+        assert len(cells) == 6 and not enumerated
+        assert chi2(collections.Counter(pairs), cells) < CHI2_99[5]
+
+    def test_cached_moves_are_drawn_uniformly(self, monkeypatch):
+        drawn, enumerated, _ = moves_from_the_optimum(monkeypatch, *CRAMPED_ROW)
+        # the walk never leaves all-on, so the pairs are enumerated once
+        assert enumerated == [1]
+        singles = [m for m in drawn if m.bit_count() == 1]
+        pairs = [m for m in drawn if m.bit_count() == 2]
+        for drawn_sets, size in ((singles, 1), (pairs, 2)):
+            cells = feasible_sets(*CRAMPED_ROW, size)
+            assert chi2(collections.Counter(drawn_sets), cells) < CHI2_99[2]
+
+    def test_enumerated_moves_are_decided_by_the_exact_load(self, monkeypatch):
+        # from the optimum {0, 4}, moving cell 4's load onto cell 3 tracks
+        # to the capacity, while its ascending load lies one ulp above it;
+        # only 3 of the 15 pairs fit, so the pairs are enumerated
+        contrib = [0.09, 0.49, 0.23, 0.46, 0.37, 0.31]
+        cap = (0.09 + 0.37) + 0.46 + -0.37
+        assert math.nextafter(cap, 1.0) == 0.09 + 0.46
+        drawn, enumerated, _ = moves_from_the_optimum(
+            monkeypatch, contrib, cap, positive=0b10001
+        )
+        assert 1 in enumerated
+        pairs = {m for m in drawn if m.bit_count() == 2}
+        fits = {
+            (1 << a) | (1 << b)
+            for a, b in itertools.combinations(range(6), 2)
+            if ascending_load(0.0, contrib, 0b10001 ^ (1 << a) ^ (1 << b)) <= cap
+        }
+        assert pairs == fits == {0b10001, 0b10100, 0b110000}
 
 
 class TestShake:
+    """``_kick``, the annealer's restart from a kicked copy of the best."""
+
     def test_zero_probability_is_identity(self):
         rng = random.Random(8)
-        sv = switch_off(10, 2, 9)
-        params = SaParams(shake_flip_prob=0.0)
-        assert shake(sv, params, rng) == sv
+        assert solvers._kick(0b1000000010, 10, 0.0, rng.random) == 0b1000000010
 
     def test_unit_probability_complements(self):
+        # every SBS bit flips, and nothing above them: the macro is not a bit
         rng = random.Random(9)
-        sv = switch_off(10, 2, 9)
-        params = SaParams(shake_flip_prob=1.0)
-        out = shake(sv, params, rng)
-        assert out.gamma[0]
-        assert all(out.gamma[j] != sv.gamma[j] for j in range(1, 11))
+        assert solvers._kick(0b1000000010, 10, 1.0, rng.random) == 0b0111111101
 
     def test_flip_count_matches_binomial_mean(self):
         rng = random.Random(10)
         n, p, trials = 12, 0.2, 10_000
-        sv = SwitchVector.all_on(n)
-        params = SaParams(shake_flip_prob=p)
-        flips = sum(hamming(sv, shake(sv, params, rng)) for _ in range(trials))
+        flips = sum(
+            solvers._kick(0, n, p, rng.random).bit_count() for _ in range(trials)
+        )
         mean = trials * n * p
         sigma = math.sqrt(trials * n * p * (1 - p))
         assert abs(flips - mean) < 3 * sigma
@@ -254,29 +325,37 @@ def tight_bench_scenario(n=16, limit=0.58):
 
 
 # (scenario, slot, rng_seed, off mask, evaluations, revenue.total.hex())
-# recorded from an annealer that summed every state's load and value in full;
-# the delta-move annealer must reproduce them.  In b64 slot 89 two cells have
-# equal weights, so swapping them is a value tie that only the exact
-# tie-break resolves as the full sums do.
+# recorded from the annealer that starts from all-on, scales its
+# temperature by the slot's mean |weight| and draws from cached feasible
+# moves.  Each of these draws a different random stream from the earlier
+# annealer (random start, absolute temperature, every move redrawn), so the
+# evaluation counts differ; every ref and tight16 case keeps that annealer's
+# mask and revenue, and both b64 cases now reach all-off, the optimum of
+# that all-feasible scenario, where the absolute temperature left them at
+# about 0.88 of it.  dup6 has two pairs of identical cells, so swapping a
+# pair is a value tie that only the exact tie-break resolves: without the
+# tie band its walks and masks change.
 SA_GOLDEN = [
-    ("ref", 0, 0, 0x17f, 35488, "0x1.e2c746f8eac7fp+1"),
-    ("ref", 24, 0, 0xff, 35480, "0x1.d22624c1a7fd3p+1"),
-    ("ref", 66, 0, 0xe, 23591, "0x1.0a4afe3752565p+2"),
-    ("ref", 78, 0, 0x4, 14938, "0x1.3c329f0326c9cp+1"),
-    ("ref", 96, 0, 0x0, 6853, "0x0.0p+0"),
-    ("ref", 108, 0, 0x2, 17647, "0x1.2b8f80aa0f5f7p+1"),
-    ("ref", 130, 0, 0x3f, 33872, "0x1.12ae45df9da0bp+2"),
-    ("ref", 0, 1, 0x17f, 35289, "0x1.e2c746f8eac7fp+1"),
-    ("ref", 24, 1, 0xff, 35578, "0x1.d22624c1a7fd3p+1"),
-    ("ref", 66, 1, 0xe, 22881, "0x1.0a4afe3752565p+2"),
-    ("ref", 78, 1, 0x4, 15072, "0x1.3c329f0326c9cp+1"),
-    ("ref", 96, 1, 0x0, 6494, "0x0.0p+0"),
-    ("ref", 108, 1, 0x2, 18630, "0x1.2b8f80aa0f5f7p+1"),
-    ("ref", 130, 1, 0x3f, 34451, "0x1.12ae45df9da0bp+2"),
-    ("b64", 12, 0, 0x7f7fe3b7d79f31f7, 190080, "0x1.e17032cf1c70bp-7"),
-    ("b64", 89, 0, 0x713bbff39f7bfbb3, 190080, "0x1.f116ec6938b74p-7"),
-    ("tight16", 100, 0, 0x1032, 31038, "0x1.9149c392b3f52p-2"),
-    ("tight16", 90, 1, 0x10, 17196, "0x1.0b75889745f0bp-3"),
+    ("ref", 0, 0, 0x17f, 34089, "0x1.e2c746f8eac7fp+1"),
+    ("ref", 24, 0, 0xff, 35289, "0x1.d22624c1a7fd3p+1"),
+    ("ref", 66, 0, 0xe, 24731, "0x1.0a4afe3752565p+2"),
+    ("ref", 78, 0, 0x4, 18537, "0x1.3c329f0326c9cp+1"),
+    ("ref", 96, 0, 0x0, 6271, "0x0.0p+0"),
+    ("ref", 108, 0, 0x2, 20033, "0x1.2b8f80aa0f5f7p+1"),
+    ("ref", 130, 0, 0x3f, 33753, "0x1.12ae45df9da0bp+2"),
+    ("ref", 0, 1, 0x17f, 35008, "0x1.e2c746f8eac7fp+1"),
+    ("ref", 24, 1, 0xff, 34264, "0x1.d22624c1a7fd3p+1"),
+    ("ref", 66, 1, 0xe, 23853, "0x1.0a4afe3752565p+2"),
+    ("ref", 78, 1, 0x4, 17524, "0x1.3c329f0326c9cp+1"),
+    ("ref", 96, 1, 0x0, 6271, "0x0.0p+0"),
+    ("ref", 108, 1, 0x2, 20054, "0x1.2b8f80aa0f5f7p+1"),
+    ("ref", 130, 1, 0x3f, 33174, "0x1.12ae45df9da0bp+2"),
+    ("b64", 12, 0, (1 << 64) - 1, 190080, "0x1.160d6c56f3425p-6"),
+    ("b64", 89, 0, (1 << 64) - 1, 190080, "0x1.0e5f6a21aa4dap-6"),
+    ("tight16", 100, 0, 0x1032, 28138, "0x1.9149c392b3f52p-2"),
+    ("tight16", 90, 1, 0x10, 15311, "0x1.0b75889745f0bp-3"),
+    ("dup6", 0, 0, 0x2d, 17530, "0x1.97b4313caa7fbp+3"),
+    ("dup6", 0, 2, 0x27, 17472, "0x1.97b4313caa7fbp+3"),
 ]
 
 
@@ -287,6 +366,11 @@ class TestAnnealerGolden:
             "ref": reference_scenario(),
             "b64": bench_scenario(64, 7),
             "tight16": tight_bench_scenario(),
+            "dup6": build_tiny(
+                [[0.34, 0.11, 0.18, 0.11, 0.18, 0.22, 0.03]],
+                demand=[23, 21, 23, 21, 12, 31],
+                limit=0.87,
+            ),
         }
 
     @pytest.mark.parametrize("name,slot,seed,mask,evals,total", SA_GOLDEN)
@@ -302,18 +386,39 @@ class TestAnnealerGolden:
 
     def test_tight_case_exercises_the_enumeration_fallback(self, scenarios, monkeypatch):
         calls = []
-        real = solvers._neighborhood_masks
+        real = solvers._neighborhood_pairs
 
         def counting(*args):
             calls.append(args[0])
             return real(*args)
 
-        monkeypatch.setattr(solvers, "_neighborhood_masks", counting)
+        monkeypatch.setattr(solvers, "_neighborhood_pairs", counting)
         for name, slot, seed, *_ in SA_GOLDEN:
             if name == "tight16":
                 calls.clear()
                 sa_solve_slot(scenarios[name], slot, SaParams(rng_seed=seed))
                 assert calls, f"slot {slot}: no neighbourhood was enumerated"
+
+
+class TestAnnealerMatchesOracle:
+    def test_random_tiny_instances(self):
+        instances = random_greedy_instances(140, seed=23)
+        for i, scn in enumerate(instances):
+            switch, revenue, _ = sa_solve_slot(scn, 0, SaParams(rng_seed=i))
+            assert oracles.feasible(scn, 0, switch.gamma)
+            assert revenue.total <= es_solve_slot(scn, 0)[1].total
+        assert {scn.num_sbs for scn in instances} == set(range(7))
+
+    def test_reaches_the_positive_weight_optimum_when_t_dwarfs_the_weights(self):
+        # every mask fits, and every temperature of the nominal schedule is
+        # over 16 times the largest weight
+        scn = bench_scenario(24, 7)
+        for slot in (0, 66, 120):
+            weights = slot_problem(scn, slot).weights
+            assert max(map(abs, weights)) < SaParams().t_final / 16
+            optimum = sum(1 << j for j, w in enumerate(weights) if w > 0)
+            switch, _, _ = sa_solve_slot(scn, slot)
+            assert switch.off_mask() == optimum
 
 
 def ascending_load(base, loads, mask):
