@@ -38,7 +38,6 @@ from .model import (
     BaseStation,
     BsKind,
     ConfigError,
-    DegenerateInstanceError,
     EnumerationCapError,
     InfeasibleSwitchError,
     OffloadMode,

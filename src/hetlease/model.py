@@ -30,10 +30,6 @@ class EnumerationCapError(ValueError):
     """Raised when exhaustive search is requested beyond the hard size cap."""
 
 
-class DegenerateInstanceError(ValueError):
-    """Raised when an operation needs more stations than the instance has."""
-
-
 class InfeasibleSwitchError(ValueError):
     """Raised when a metric is requested for a switch vector that violates QoS."""
 

@@ -21,6 +21,7 @@ import enum
 import hashlib
 import logging
 import math
+import numbers
 import random
 import sys
 import time
@@ -108,8 +109,9 @@ class SaParams:
     level runs ``k_factor * N`` local iterations, and each iteration
     tries all three neighborhoods in a fixed order.  ``t_init``,
     ``t_final`` and ``alpha`` are in units of the slot's mean |weight|
-    (1.0 when every weight is 0): ``sa_solve_slot`` multiplies the
-    temperature it passes to ``metropolis_accept`` by that scale.
+    (1.0 when every weight is 0): ``sa_solve_slot`` multiplies each
+    level's temperature by that scale.  The float fields must be finite
+    and ``k_factor`` an integer.
     """
 
     t_init: float = 1.0
@@ -121,6 +123,12 @@ class SaParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("t_init", "t_final", "alpha", "boltzmann_k", "shake_flip_prob"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        k = self.k_factor
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ValueError("k_factor must be an integer")
         if not self.t_init > self.t_final > 0:
             raise ValueError("need t_init > t_final > 0")
         if self.alpha <= 0:
@@ -212,6 +220,12 @@ def _kick(mask: int, n: int, p: float, rnd) -> int:
     return mask
 
 
+def _downhill_accept(current: float, candidate: float, kt: float, rnd) -> bool:
+    """The Metropolis rule for a move that loses revenue: accept with
+    probability exp(-(current - candidate) / kt), from one ``rnd()`` draw."""
+    return rnd() < math.exp(-(current - candidate) / kt)
+
+
 def metropolis_accept(
     current_revenue: float,
     candidate_revenue: float,
@@ -225,8 +239,9 @@ def metropolis_accept(
         raise ValueError("temperature must be positive")
     if candidate_revenue >= current_revenue:
         return True
-    gap = current_revenue - candidate_revenue
-    return rng.random() < math.exp(-gap / (params.boltzmann_k * temperature))
+    return _downhill_accept(
+        current_revenue, candidate_revenue, params.boltzmann_k * temperature, rng.random
+    )
 
 
 def sa_solve_slot(
@@ -259,9 +274,13 @@ def sa_solve_slot(
     bit for bit.  Likewise, a value comparison (accept or new best) whose
     two sides lie within twice that width, measured on the weight scale,
     is decided by exact sums; this happens only for near-equal weights.
-    Every downhill move is decided by ``metropolis_accept``.  The one
-    residue: outside the tie band its threshold exp(gap / kT) is taken from
-    the tracked gap, which may differ from the exact gap in its last bits.
+    Every downhill move is decided by one Metropolis rule,
+    ``_downhill_accept``, with kT = ``boltzmann_k`` x temperature taken
+    once per level: outside the tie band the step calls it on the tracked
+    values, inside it ``metropolis_accept`` applies it to the exact sums.
+    The one residue: outside the tie band the threshold exp(gap / kT) is
+    taken from the tracked gap, which may differ from the exact gap in its
+    last bits.
 
     Each step draws uniformly among the feasible moves of one
     neighborhood.  A step first looks up the state's cached feasible
@@ -296,8 +315,10 @@ def sa_solve_slot(
     rnd = rng.random
     base, cap, contrib, weights = slot_problem(scenario, slot)
 
-    neighborhoods = (0, 1, 2) if n >= 2 else (0,)
     k = params.k_factor * n
+    # the neighborhood of every step of a level, in order
+    steps = ((0, 1, 2) if n >= 2 else (0,)) * k
+    levels = params.temperature_levels()
 
     # A tracked sum drifts from the exact ascending one by at most one
     # rounding (eps x scale) per addition since the last rebuild, and a
@@ -334,88 +355,90 @@ def sa_solve_slot(
     best_lo = best_val - tie
 
     nm1 = n - 1
-    evaluations = 0
+    draws = range(_RETRY_DRAWS)
     skipped = 0
 
-    for level in range(params.temperature_levels()):
+    for level in range(levels):
         temperature = (params.t_init - level * params.alpha) * t_scale
-        for _ in range(k):
-            for kind in neighborhoods:
-                moves = cache.get((current << 2) | kind) if cache else None
-                if moves is None:
-                    for _draw in range(_RETRY_DRAWS):
-                        a = int(rnd() * n)
-                        if kind == 0:
-                            b = n
-                        else:
-                            b = int(rnd() * nm1)
-                            if b >= a:
-                                b += 1
-                            if kind == 2 and is_off[a] == is_off[b]:
-                                a = b = n  # swap of equal bits: the state itself
-                        lv = cur_load + dl[a] + dl[b]
-                        if lv <= sure_fit:
-                            break
-                        if lv > sure_miss:
-                            continue
-                        lv = _ascending_sum(current ^ bit[a] ^ bit[b], base, contrib)
-                        if lv <= cap:
-                            break
+        if temperature <= 0:
+            raise ValueError("temperature must be positive")
+        kt = params.boltzmann_k * temperature
+        for kind in steps:
+            moves = cache.get((current << 2) | kind) if cache else None
+            if moves is None:
+                for _ in draws:
+                    a = int(rnd() * n)
+                    if kind == 0:
+                        b = n
+                        lv = cur_load + dl[a]
                     else:
-                        moves = cache[(current << 2) | kind] = [
-                            (a, b)
-                            for a, b in _neighborhood_pairs(kind, is_off, n)
-                            if (lv := cur_load + dl[a] + dl[b]) <= sure_fit
-                            or lv <= sure_miss
-                            and _ascending_sum(current ^ bit[a] ^ bit[b], base, contrib)
-                            <= cap
-                        ]
-                        if not moves:
-                            logger.debug(
-                                "slot %d: neighborhood %d empty from state %#x",
-                                slot, kind, current,
-                            )
-                if moves is not None:
-                    if not moves:
-                        skipped += 1
+                        b = int(rnd() * nm1)
+                        if b >= a:
+                            b += 1
+                        if kind == 2 and is_off[a] == is_off[b]:
+                            a = b = n  # swap of equal bits: the state itself
+                        lv = cur_load + dl[a] + dl[b]
+                    if lv <= sure_fit:
+                        break
+                    if lv > sure_miss:
                         continue
-                    a, b = moves[int(rnd() * len(moves))]
-                    lv = cur_load + dl[a] + dl[b]
-                val = cur_val + dv[a] + dv[b]
-                evaluations += 1
-                gap = val - cur_val
-                if gap > tie:
-                    accept = True
-                elif gap < -tie:
-                    accept = metropolis_accept(cur_val, val, temperature, params, rng)
-                elif dv[a] == 0.0 and dv[b] == 0.0:
-                    # an equal-bit swap or zero weights: the exact sum is unchanged
-                    accept = True
+                    lv = _ascending_sum(current ^ bit[a] ^ bit[b], base, contrib)
+                    if lv <= cap:
+                        break
                 else:
-                    accept = metropolis_accept(
-                        _ascending_sum(current, 0.0, weights),
-                        _ascending_sum(current ^ bit[a] ^ bit[b], 0.0, weights),
-                        temperature,
-                        params,
-                        rng,
-                    )
-                if accept:
-                    current ^= bit[a] ^ bit[b]
-                    cur_load, cur_val = lv, val
-                    dl[a], dv[a], is_off[a] = -dl[a], -dv[a], not is_off[a]
-                    dl[b], dv[b], is_off[b] = -dl[b], -dv[b], not is_off[b]
-                if val >= best_lo:
-                    cand = current if accept else current ^ bit[a] ^ bit[b]
-                    if val > best_val + tie or (
-                        cand != best
-                        and _ascending_sum(cand, 0.0, weights)
-                        > _ascending_sum(best, 0.0, weights)
-                    ):
-                        # max: an exact tie-break may pick a value a few ulps low
-                        best, best_val = cand, max(val, best_val)
-                        best_lo = best_val - tie
-                if trace is not None:
-                    trace.append(best_val)
+                    moves = cache[(current << 2) | kind] = [
+                        (a, b)
+                        for a, b in _neighborhood_pairs(kind, is_off, n)
+                        if (lv := cur_load + dl[a] + dl[b]) <= sure_fit
+                        or lv <= sure_miss
+                        and _ascending_sum(current ^ bit[a] ^ bit[b], base, contrib)
+                        <= cap
+                    ]
+                    if not moves:
+                        logger.debug(
+                            "slot %d: neighborhood %d empty from state %#x",
+                            slot, kind, current,
+                        )
+            if moves is not None:
+                if not moves:
+                    skipped += 1
+                    continue
+                a, b = moves[int(rnd() * len(moves))]
+                lv = cur_load + dl[a] + dl[b]
+            val = cur_val + dv[a] + dv[b]
+            gap = val - cur_val
+            if gap > tie:
+                accept = True
+            elif gap < -tie:
+                accept = _downhill_accept(cur_val, val, kt, rnd)
+            elif dv[a] == 0.0 and dv[b] == 0.0:
+                # an equal-bit swap or zero weights: the exact sum is unchanged
+                accept = True
+            else:
+                accept = metropolis_accept(
+                    _ascending_sum(current, 0.0, weights),
+                    _ascending_sum(current ^ bit[a] ^ bit[b], 0.0, weights),
+                    temperature,
+                    params,
+                    rng,
+                )
+            if accept:
+                current ^= bit[a] ^ bit[b]
+                cur_load, cur_val = lv, val
+                dl[a], dv[a], is_off[a] = -dl[a], -dv[a], not is_off[a]
+                dl[b], dv[b], is_off[b] = -dl[b], -dv[b], not is_off[b]
+            if val >= best_lo:
+                cand = current if accept else current ^ bit[a] ^ bit[b]
+                if val > best_val + tie or (
+                    cand != best
+                    and _ascending_sum(cand, 0.0, weights)
+                    > _ascending_sum(best, 0.0, weights)
+                ):
+                    # max: an exact tie-break may pick a value a few ulps low
+                    best, best_val = cand, max(val, best_val)
+                    best_lo = best_val - tie
+            if trace is not None:
+                trace.append(best_val)
         # diversify: restart the walk from a kicked copy of the best
         current = _kick(best, n, params.shake_flip_prob, rnd)
         cur_load, cur_val = rebuild(current)
@@ -424,6 +447,7 @@ def sa_solve_slot(
         logger.debug(
             "slot %d: %d neighborhood steps had no feasible move", slot, skipped
         )
+    evaluations = levels * len(steps) - skipped
     switch = SwitchVector.from_off_mask(best, n)
     return switch, total_revenue_slot(scenario, slot, switch), evaluations
 

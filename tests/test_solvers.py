@@ -58,18 +58,19 @@ def moves_from_the_optimum(monkeypatch, contrib, cap, positive=0, seed=0):
 
     Weight j is +2^j for the cells in the mask ``positive`` and -2^j for
     the others, so the optimum is ``positive`` and every move from it loses
-    exactly the sum of 2^j over the cells it flips.  Metropolis is replaced
-    by a rule that records that loss and rejects: once at the optimum the
-    walk stays there, and with ``shake_flip_prob`` 0 every level restarts
-    from it.  From the optimum each one-cell and two-cell step is recorded;
-    a swap is recorded only when it exchanges cells of both kinds.
+    exactly the sum of 2^j over the cells it flips.  The downhill Metropolis
+    rule is replaced by one that records that loss and rejects: once at
+    the optimum the walk stays there, and with ``shake_flip_prob`` 0 every
+    level restarts from it.  From the optimum each one-cell and two-cell
+    step is recorded; a swap is recorded only when it exchanges cells of
+    both kinds.
     """
     n = len(contrib)
     weights = [float(1 << j) if positive >> j & 1 else -float(1 << j) for j in range(n)]
     top = sum(w for w in weights if w > 0)
     drawn, enumerated = [], []
 
-    def record_and_reject(current, candidate, temperature, params, rng):
+    def record_and_reject(current, candidate, kt, rnd):
         if current == top:
             drawn.append(int(current - candidate))
         return False
@@ -81,7 +82,7 @@ def moves_from_the_optimum(monkeypatch, contrib, cap, positive=0, seed=0):
     real_pairs = solvers._neighborhood_pairs
     row = SlotProblem(0.0, cap, contrib, weights)
     monkeypatch.setattr(solvers, "slot_problem", lambda scenario, slot: row)
-    monkeypatch.setattr(solvers, "metropolis_accept", record_and_reject)
+    monkeypatch.setattr(solvers, "_downhill_accept", record_and_reject)
     monkeypatch.setattr(solvers, "_neighborhood_pairs", counting_pairs)
     params = SaParams(shake_flip_prob=0.0, rng_seed=seed)
     switch, _, evaluations = sa_solve_slot(bench_scenario(n), 0, params)
@@ -263,6 +264,25 @@ class TestSaParams:
         with pytest.raises(ValueError):
             SaParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("boltzmann_k", math.nan),
+            ("boltzmann_k", math.inf),
+            ("alpha", math.nan),
+            ("t_init", math.inf),
+            ("t_final", -math.inf),
+            ("shake_flip_prob", math.nan),
+            ("k_factor", 2.5),
+            ("k_factor", True),
+        ],
+    )
+    def test_non_finite_floats_and_non_integer_k_factor_name_the_field(
+        self, field, value
+    ):
+        with pytest.raises(ValueError, match=field):
+            SaParams(**{field: value})
+
 
 class TestSimulatedAnnealing:
     def test_deterministic_per_seed(self):
@@ -381,6 +401,20 @@ SA_EARLIER = [
 ]
 
 
+# The same fields, recorded at a schedule and Boltzmann constant away from
+# the defaults (67 levels of 4N steps), before the annealer's step loop was
+# restructured.  With boltzmann_k = 1.0 a kT that drops or misplaces the
+# constant reads the same as the right one; here it changes which downhill
+# moves are accepted, and so the walk and its count of skipped steps.
+TUNED = dict(boltzmann_k=0.7, t_init=2.0, alpha=0.03, k_factor=4, shake_flip_prob=0.35)
+SA_TUNED = [
+    ("ref", 66, 0, 0xe, 4216, "0x1.0a4afe3752565p+2"),
+    ("ref", 96, 1, 0x0, 682, "0x0.0p+0"),
+    ("ref", 130, 0, 0x3f, 8864, "0x1.12ae45df9da0bp+2"),
+    ("tight16", 100, 1, 0x1032, 4713, "0x1.9149c392b3f52p-2"),
+]
+
+
 class TestAnnealerGolden:
     @pytest.fixture(scope="class")
     def scenarios(self):
@@ -409,6 +443,35 @@ class TestAnnealerGolden:
         assert (switch.off_mask(), revenue.total.hex()) == (mask, total)
         if (name, slot, seed, mask, evals, total) in SA_GOLDEN:
             assert evaluations == evals
+
+    @pytest.mark.parametrize("name,slot,seed,mask,evals,total", SA_TUNED)
+    def test_matches_recorded_run_at_tuned_parameters(
+        self, scenarios, monkeypatch, name, slot, seed, mask, evals, total
+    ):
+        """Also checks that every downhill decision gets its level's kT,
+        boltzmann_k x temperature, bit for bit: a kT of other bits flips
+        a decision only when a draw lands between the two thresholds."""
+        kts = []
+        real = solvers._downhill_accept
+
+        def recording(current, candidate, kt, rnd):
+            kts.append(kt)
+            return real(current, candidate, kt, rnd)
+
+        monkeypatch.setattr(solvers, "_downhill_accept", recording)
+        scn = scenarios[name]
+        params = SaParams(rng_seed=seed, **TUNED)
+        switch, revenue, evaluations = sa_solve_slot(scn, slot, params)
+        assert switch.off_mask() == mask
+        assert (revenue.total.hex(), evaluations) == (total, evals)
+
+        weights = slot_problem(scn, slot).weights
+        t_scale = sum(abs(w) for w in weights) / len(weights) or 1.0
+        level_kts = {
+            params.boltzmann_k * ((params.t_init - level * params.alpha) * t_scale)
+            for level in range(params.temperature_levels())
+        }
+        assert kts and set(kts) <= level_kts
 
     def test_tight_case_exercises_the_enumeration_fallback(self, scenarios, monkeypatch):
         calls = []
