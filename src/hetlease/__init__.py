@@ -53,16 +53,11 @@ from .model import (
 )
 from .scenario import (
     CsvFormatError,
-    PriceKind,
-    PricePolicy,
-    RawActivityRecord,
     bench_config,
     bench_scenario,
-    build_pricing,
     build_scenario,
     default_electricity_multipliers,
     dt_shift,
-    dynamic_electricity_price,
     dynamic_spectrum_price,
     ingest_activity_csv,
     load_config,

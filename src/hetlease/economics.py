@@ -10,7 +10,6 @@ for the resource blocks of every off SBS.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .feasibility import offloaded_mbs_load
@@ -20,6 +19,7 @@ from .model import (
     RevenueBreakdown,
     Scenario,
     SwitchVector,
+    daily_breakdown,
 )
 
 
@@ -137,10 +137,6 @@ def daily_revenue(
         raise ValueError(
             f"{len(switches)} switch vectors for {scenario.num_slots} slots"
         )
-    energy = math.fsum(
-        energy_revenue_slot(scenario, t, sw) for t, sw in enumerate(switches)
+    return daily_breakdown(
+        [total_revenue_slot(scenario, t, sw) for t, sw in enumerate(switches)]
     )
-    leasing = math.fsum(
-        leasing_revenue_slot(scenario, t, sw) for t, sw in enumerate(switches)
-    )
-    return RevenueBreakdown.of(energy, leasing)

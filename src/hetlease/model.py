@@ -62,12 +62,15 @@ class BaseStation:
     p_sleep: float | None = None   # sleep-mode draw, W; None only for the macro
 
     def __post_init__(self):
-        if self.p_o <= 0 or self.p_tx <= 0 or self.zeta <= 0:
-            raise ConfigError(f"power parameters must be positive: {self}")
+        for name in ("p_o", "zeta", "p_tx", "bandwidth_mhz"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(
+                    f"{self.kind.value} station: {name} must be positive and "
+                    f"finite, got {value!r}"
+                )
         if self.rb_capacity <= 0:
             raise ConfigError(f"rb_capacity must be positive: {self}")
-        if self.bandwidth_mhz <= 0:
-            raise ConfigError(f"bandwidth must be positive: {self}")
         if self.p_sleep is not None and not 0 <= self.p_sleep < self.p_o:
             raise ConfigError(
                 f"p_sleep must satisfy 0 <= p_sleep < p_o: {self}"
@@ -230,9 +233,6 @@ class SwitchVector:
     def off_indices(self) -> tuple[int, ...]:
         """Station indices (1-based positions in the vector) that are off."""
         return tuple(i for i, g in enumerate(self.gamma) if not g)
-
-    def num_off(self) -> int:
-        return sum(1 for g in self.gamma if not g)
 
     def off_mask(self) -> int:
         """Bitmask over SBSs: bit j set means SBS j+1 is off."""

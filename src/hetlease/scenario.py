@@ -6,17 +6,25 @@ records.  Secondary-network demand is derived from the primary traffic
 with a single occupancy factor, optionally time-shifted to chase the
 cheapest spectrum price (delay-tolerant demand).  Everything is driven
 by one plain-dict config that round-trips losslessly through YAML.
+
+The config's ``pricing`` section picks a ``policy``.  ``fixed`` repeats
+``fixed_electricity`` and ``fixed_spectrum`` in every slot.  ``dynamic``
+multiplies the flat electricity price by one multiplier per slot and
+lets the spectrum price follow aggregate traffic within
+[``spectrum_m_min``, ``spectrum_m_max``] times its flat price.  The
+multipliers come from ``electricity_profile``: null for the built-in
+curve, an inline list, or the path of a YAML file holding a list.  Both
+list forms get the same checks (numbers, finite, positive), and under
+``fixed`` the profile must be all ones.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
-import enum
 import logging
-import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,15 +47,6 @@ logger = logging.getLogger(__name__)
 
 class CsvFormatError(ValueError):
     """Raised for malformed activity CSV content, with the line number."""
-
-
-@dataclass(frozen=True)
-class RawActivityRecord:
-    """One CSV row: unitless internet activity of a grid cell in a slot."""
-
-    grid_id: int
-    slot_index: int
-    internet_activity: float
 
 
 # libyaml's parser when PyYAML was built with it; same documents, same data
@@ -132,25 +131,22 @@ def ingest_activity_csv(
             )
         for lineno, row in enumerate(reader, start=2):
             try:
-                record = RawActivityRecord(
-                    grid_id=int(row["grid_id"]),
-                    slot_index=int(row["slot_index"]),
-                    internet_activity=float(row["internet_activity"]),
-                )
+                grid_id = int(row["grid_id"])
+                slot = int(row["slot_index"])
+                activity = float(row["internet_activity"])
             except (TypeError, ValueError) as exc:
                 raise CsvFormatError(f"line {lineno}: {exc}") from None
-            if not 0 <= record.slot_index < num_slots:
+            if not 0 <= slot < num_slots:
                 raise CsvFormatError(
-                    f"line {lineno}: slot_index {record.slot_index} outside "
-                    f"[0, {num_slots})"
+                    f"line {lineno}: slot_index {slot} outside [0, {num_slots})"
                 )
-            if record.internet_activity < 0:
+            if activity < 0:
                 raise CsvFormatError(f"line {lineno}: negative activity")
-            station = assignment.get(record.grid_id)
+            station = assignment.get(grid_id)
             if station is None:
                 continue  # grid not part of this scenario
-            series[station, record.slot_index] += record.internet_activity
-            seen[record.grid_id].add(record.slot_index)
+            series[station, slot] += activity
+            seen[grid_id].add(slot)
 
     for grid, slots in seen.items():
         if not slots:
@@ -232,43 +228,6 @@ FIXED_ELECTRICITY_PRICE = 0.1293  # currency per kWh
 FIXED_SPECTRUM_PRICE = 0.13      # currency per resource block
 
 
-class PriceKind(enum.Enum):
-    FIXED = "fixed"
-    DYNAMIC = "dynamic"
-
-
-@dataclass(frozen=True)
-class PricePolicy:
-    """How per-slot prices are produced.
-
-    Fixed policies repeat the flat prices every slot.  Dynamic
-    electricity multiplies the flat price by a per-slot factor curve;
-    dynamic spectrum follows the aggregate traffic through an affine
-    map into [m_min, m_max], rescaled to keep the daily mean equal to
-    the flat price.
-    """
-
-    kind: PriceKind = PriceKind.FIXED
-    fixed_electricity: float = FIXED_ELECTRICITY_PRICE
-    fixed_spectrum: float = FIXED_SPECTRUM_PRICE
-    electricity_multipliers: np.ndarray | None = None
-    spectrum_m_min: float = 0.5
-    spectrum_m_max: float = 1.5
-
-    def __post_init__(self):
-        if self.fixed_electricity <= 0 or self.fixed_spectrum <= 0:
-            raise ConfigError("flat prices must be positive")
-        if not 0 < self.spectrum_m_min <= self.spectrum_m_max:
-            raise ConfigError("need 0 < spectrum_m_min <= spectrum_m_max")
-        if self.electricity_multipliers is not None:
-            mult = np.asarray(self.electricity_multipliers, dtype=np.float64)
-            if mult.min(initial=np.inf) <= 0:
-                raise ConfigError("electricity multipliers must be positive")
-            if self.kind is PriceKind.FIXED and not np.all(mult == 1.0):
-                raise ConfigError("fixed pricing requires all multipliers = 1")
-            object.__setattr__(self, "electricity_multipliers", mult)
-
-
 def default_electricity_multipliers(num_slots: int) -> np.ndarray:
     """Stock daily tariff shape: overnight dip, morning shoulder, evening
     peak; rescaled to mean 1 so flat and dynamic tariffs cost the same
@@ -281,29 +240,6 @@ def default_electricity_multipliers(num_slots: int) -> np.ndarray:
         - 0.30 * np.exp(-(((hours - 3.5) / 2.6) ** 2))
     )
     return curve / curve.mean()
-
-
-def load_multiplier_profile(path) -> np.ndarray:
-    """Read a per-slot multiplier list from a YAML document."""
-    data = _read_yaml(path)
-    if not isinstance(data, list) or not data:
-        raise ConfigError(f"{path}: expected a non-empty list of multipliers")
-    mult = np.asarray(data, dtype=np.float64)
-    if mult.min() <= 0:
-        raise ConfigError(f"{path}: multipliers must be positive")
-    return mult
-
-
-def dynamic_electricity_price(multipliers: np.ndarray, fixed_price: float) -> np.ndarray:
-    """Per-slot electricity price: flat price times a positive factor curve."""
-    mult = np.asarray(multipliers, dtype=np.float64)
-    if fixed_price <= 0:
-        raise ConfigError("fixed electricity price must be positive")
-    if mult.ndim != 1 or mult.size == 0:
-        raise ConfigError("multiplier curve must be a non-empty vector")
-    if mult.min() <= 0:
-        raise ConfigError("electricity multipliers must be positive")
-    return mult * fixed_price
 
 
 def dynamic_spectrum_price(
@@ -331,30 +267,51 @@ def dynamic_spectrum_price(
     return factors * fixed_price
 
 
-def build_pricing(
-    policy: PricePolicy, pn_traffic: Sequence[TrafficSeries], grid: TimeGrid
+def _build_pricing(
+    pcfg: dict, traffic: Sequence[TrafficSeries], num_slots: int
 ) -> PricingSeries:
-    """Materialize a price policy into concrete per-slot series."""
-    num_slots = grid.num_slots
-    if policy.kind is PriceKind.FIXED:
-        electricity = np.full(num_slots, policy.fixed_electricity)
-        spectrum = np.full(num_slots, policy.fixed_spectrum)
-    else:
-        mult = policy.electricity_multipliers
-        if mult is None:
-            mult = default_electricity_multipliers(num_slots)
-        if mult.shape[0] != num_slots:
-            raise ConfigError(
-                f"multiplier curve has {mult.shape[0]} slots, grid has {num_slots}"
-            )
-        electricity = dynamic_electricity_price(mult, policy.fixed_electricity)
-        spectrum = dynamic_spectrum_price(
-            pn_traffic,
-            policy.fixed_spectrum,
-            policy.spectrum_m_min,
-            policy.spectrum_m_max,
+    """Per-slot prices from the validated ``pricing`` section (see the
+    module docstring), checking each pricing input once."""
+    electricity = float(pcfg["fixed_electricity"])
+    spectrum = float(pcfg["fixed_spectrum"])
+    m_min, m_max = float(pcfg["spectrum_m_min"]), float(pcfg["spectrum_m_max"])
+    if electricity <= 0 or spectrum <= 0:
+        raise ConfigError("flat prices must be positive")
+    if not 0 < m_min <= m_max:
+        raise ConfigError("need 0 < spectrum_m_min <= spectrum_m_max")
+
+    profile, mult = pcfg["electricity_profile"], None
+    if profile is not None:
+        if isinstance(profile, str):
+            name, entries = profile, _read_yaml(profile)
+        else:
+            name, entries = "pricing.electricity_profile", profile
+        if not isinstance(entries, list) or not entries:
+            raise ConfigError(f"{name}: expected a non-empty list of multipliers")
+        for i, factor in enumerate(entries):
+            _require_number(factor, f"{name}[{i}]")
+        mult = np.asarray(entries, dtype=np.float64)
+        if not np.all(np.isfinite(mult) & (mult > 0)):
+            raise ConfigError(f"{name}: multipliers must be finite and positive")
+
+    policy = pcfg["policy"]
+    if policy == "fixed":
+        if mult is not None and not np.all(mult == 1.0):
+            raise ConfigError("fixed pricing requires all multipliers = 1")
+        return PricingSeries(
+            electricity=np.full(num_slots, electricity),
+            spectrum=np.full(num_slots, spectrum),
         )
-    return PricingSeries(electricity=electricity, spectrum=spectrum)
+    if policy != "dynamic":
+        raise ConfigError(f"unknown pricing policy {policy!r}")
+    if mult is None:
+        mult = default_electricity_multipliers(num_slots)
+    elif mult.size != num_slots:
+        raise ConfigError(f"multiplier curve has {mult.size} slots, grid has {num_slots}")
+    return PricingSeries(
+        electricity=mult * electricity,
+        spectrum=dynamic_spectrum_price(traffic, spectrum, m_min, m_max),
+    )
 
 
 # --- config ---------------------------------------------------------------
@@ -435,10 +392,7 @@ def _check_number_types(config: dict) -> None:
     for key in ("fixed_electricity", "fixed_spectrum", "spectrum_m_min", "spectrum_m_max"):
         _require_number(config["pricing"][key], f"pricing.{key}")
     profile = config["pricing"]["electricity_profile"]
-    if isinstance(profile, list):
-        for i, factor in enumerate(profile):
-            _require_number(factor, f"pricing.electricity_profile[{i}]")
-    elif profile is not None and not isinstance(profile, str):
+    if profile is not None and not isinstance(profile, (str, list)):
         raise ConfigError(
             f"pricing.electricity_profile must be a path or a list, got {profile!r}"
         )
@@ -483,20 +437,8 @@ def _build_stations(spec_list: list[dict]) -> tuple[BaseStation, ...]:
             raise ConfigError(f"station {i}: unknown kind {spec['kind']!r}") from None
         template = templates[kind]
         overrides = {k: v for k, v in spec.items() if k != "kind"}
-        if overrides:
-            fields = {
-                "kind": kind,
-                "p_o": template.p_o,
-                "zeta": template.zeta,
-                "p_tx": template.p_tx,
-                "rb_capacity": template.rb_capacity,
-                "bandwidth_mhz": template.bandwidth_mhz,
-                "p_sleep": template.p_sleep,
-            }
-            fields.update(overrides)
-            stations.append(BaseStation(**fields))
-        else:
-            stations.append(template)
+        # a spec without overrides shares its kind's template object
+        stations.append(replace(template, **overrides) if overrides else template)
     return tuple(stations)
 
 
@@ -538,23 +480,7 @@ def build_scenario(config: dict) -> Scenario:
             scaled.append(TrafficSeries(values=ts.values * factor))
         traffic = scaled
 
-    pcfg = config["pricing"]
-    profile = pcfg["electricity_profile"]
-    if profile is None:
-        multipliers = None
-    elif isinstance(profile, str):
-        multipliers = load_multiplier_profile(profile)
-    else:
-        multipliers = np.asarray(profile, dtype=np.float64)
-    policy = PricePolicy(
-        kind=PriceKind(pcfg["policy"]),
-        fixed_electricity=float(pcfg["fixed_electricity"]),
-        fixed_spectrum=float(pcfg["fixed_spectrum"]),
-        electricity_multipliers=multipliers,
-        spectrum_m_min=float(pcfg["spectrum_m_min"]),
-        spectrum_m_max=float(pcfg["spectrum_m_max"]),
-    )
-    pricing = build_pricing(policy, traffic, grid)
+    pricing = _build_pricing(config["pricing"], traffic, grid.num_slots)
 
     dcfg = config["demand"]
     sn_demand = sn_demand_from_pn(

@@ -1,8 +1,10 @@
 """Per-slot decision procedures for the switching problem.
 
-Four methods share one contract: given a scenario and a slot, return a
-feasible switch vector, its revenue through the canonical objective, and
-the number of objective evaluations spent.
+Each method takes a scenario and a slot and returns a feasible switch
+vector with its revenue through the canonical objective.  Annealing and
+exhaustive search also return the number of objective evaluations spent;
+the sorting heuristics do not, and ``solve_day`` counts one evaluation
+per greedy slot.
 
 * ``sa_solve_slot``: simulated annealing over the on/off lattice with
   three neighborhood moves applied sequentially (flip one bit, flip two

@@ -211,6 +211,14 @@ def test_unknown_method_is_an_error(small_config, tmp_path, capsys):
             "traffic: {source: csv, csv_path: a.csv, assignment: [7, 0]}",
             "traffic.assignment",
         ),
+        ("stations: [{kind: macro, p_o: .nan}]", "p_o"),
+        ("stations: [{kind: macro, zeta: .inf}]", "zeta"),
+        ("stations: [{kind: macro, p_tx: .nan}]", "p_tx"),
+        ("stations: [{kind: macro}, {kind: micro, p_o: .nan}]", "p_o"),
+        ("stations: [{kind: macro}, {kind: micro, zeta: .inf}]", "zeta"),
+        ("stations: [{kind: macro}, {kind: micro, p_tx: .nan}]", "p_tx"),
+        ("stations: [{kind: macro, bandwidth_mhz: .nan}]", "bandwidth_mhz"),
+        ("stations: [{kind: macro}, {kind: micro, bandwidth_mhz: .inf}]", "bandwidth_mhz"),
     ],
 )
 def test_mistyped_config_value_is_a_one_line_error(tmp_path, capsys, yaml_text, key):

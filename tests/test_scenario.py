@@ -8,18 +8,13 @@ from hetlease import (
     BsKind,
     ConfigError,
     CsvFormatError,
-    PriceKind,
-    PricePolicy,
-    TimeGrid,
     TrafficSeries,
     bench_config,
     bench_scenario,
-    build_pricing,
     build_scenario,
     default_electricity_multipliers,
     default_parameter_set,
     dt_shift,
-    dynamic_electricity_price,
     dynamic_spectrum_price,
     ingest_activity_csv,
     load_config,
@@ -210,10 +205,9 @@ class TestPricing:
         assert mult.min() > 0
 
     def test_dynamic_electricity_scales_the_flat_price(self):
-        mult = default_electricity_multipliers(144)
-        price = dynamic_electricity_price(mult, 0.1293)
-        assert price.min() == pytest.approx(0.1293 * mult.min(), rel=1e-12)
-        assert price.max() == pytest.approx(0.1293 * mult.max(), rel=1e-12)
+        scn = reference_scenario(pricing="dynamic")
+        expected = default_electricity_multipliers(144) * 0.1293
+        assert scn.pricing.electricity.tobytes() == expected.tobytes()
 
     def test_dynamic_spectrum_keeps_the_daily_mean(self):
         traffic = normalize_series(synth_traffic(1, 144, 4))
@@ -237,22 +231,47 @@ class TestPricing:
         assert any("constant" in rec.message for rec in caplog.records)
 
     def test_fixed_policy_rejects_shaped_multipliers(self):
-        with pytest.raises(ConfigError):
-            PricePolicy(kind=PriceKind.FIXED, electricity_multipliers=[1.0, 1.2])
+        with pytest.raises(ConfigError, match="all multipliers = 1"):
+            build_scenario(pricing_config("fixed", [1.0, 1.2]))
 
-    def test_build_pricing_fixed_is_flat(self):
-        traffic = normalize_series(synth_traffic(0, 12, 2))
-        pricing = build_pricing(PricePolicy(), traffic, TimeGrid(horizon_min=120, slot_min=10))
+    def test_fixed_policy_prices_are_flat(self):
+        pricing = build_scenario(pricing_config("fixed")).pricing
         assert np.array_equal(pricing.electricity, np.full(12, 0.1293))
         assert np.array_equal(pricing.spectrum, np.full(12, 0.13))
 
-    def test_build_pricing_checks_multiplier_length(self):
-        traffic = normalize_series(synth_traffic(0, 12, 2))
-        policy = PricePolicy(
-            kind=PriceKind.DYNAMIC, electricity_multipliers=np.ones(7)
+    def test_dynamic_policy_checks_profile_length(self):
+        with pytest.raises(ConfigError, match="7 slots, grid has 12"):
+            build_scenario(pricing_config("dynamic", [1.0] * 7))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [["x"], [[1.0, 2.0]], [True], [float("nan")], []],
+        ids=["string", "nested-list", "boolean", "nan", "empty"],
+    )
+    @pytest.mark.parametrize("policy", ["fixed", "dynamic"])
+    def test_inline_and_file_profiles_get_the_same_check(self, tmp_path, bad, policy):
+        entries = [1.0] * 11 + bad if bad else []
+        with pytest.raises(ConfigError) as inline:
+            build_scenario(pricing_config(policy, entries))
+        path = tmp_path / "profile.yaml"
+        path.write_text(yaml.safe_dump(entries))
+        with pytest.raises(ConfigError) as from_file:
+            build_scenario(pricing_config(policy, str(path)))
+        # one check, so one message, naming the key or the file
+        assert str(from_file.value) == str(inline.value).replace(
+            "pricing.electricity_profile", str(path)
         )
-        with pytest.raises(ConfigError):
-            build_pricing(policy, traffic, TimeGrid(horizon_min=120, slot_min=10))
+        assert str(path) in str(from_file.value)
+
+
+def pricing_config(policy, profile=None):
+    """Two stations over twelve ten-minute slots with the given pricing."""
+    return {
+        "grid": {"horizon_min": 120, "slot_min": 10},
+        "stations": [{"kind": "macro"}, {"kind": "micro"}],
+        "traffic": {"seed": 0, "scale": [0.5, 1.0]},
+        "pricing": {"policy": policy, "electricity_profile": profile},
+    }
 
 
 class TestConfig:
@@ -273,6 +292,10 @@ class TestConfig:
         scn = build_scenario(config)
         assert scn.stations[1].p_o == 60.0
         assert scn.stations[1].p_sleep == 39.0
+
+    def test_stations_without_overrides_share_the_template(self):
+        scn = bench_scenario(8)
+        assert scn.stations[1] is scn.stations[5]
 
     def test_scale_factors_cap_the_peak(self):
         config = validate_config(
