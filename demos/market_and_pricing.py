@@ -11,9 +11,7 @@ sleep, so more blocks get leased at a lower unit price and both sides
 of the market win.
 """
 
-import math
-
-from hetlease import SaParams, leasing_revenue_slot, reference_variants, solve_day
+from hetlease import SaParams, reference_variants, solve_day
 
 variants = reference_variants()
 params = SaParams(rng_seed=0)
@@ -28,10 +26,7 @@ for name, scenario in variants.items():
         for j in range(1, scenario.num_sbs + 1)
         if not result.per_slot_switch[t].is_on(j)
     )
-    spend = math.fsum(
-        leasing_revenue_slot(scenario, t, result.per_slot_switch[t])
-        for t in range(scenario.num_slots)
-    )
+    spend = result.daily.leasing
     unit = spend / leased if leased else float("nan")
     rows[name] = (result.daily.total, spend, leased, unit)
     print(f"{name:<12} {result.daily.total:>10.3f} {spend:>10.3f} {leased:>10,} {unit:>9.5f}")

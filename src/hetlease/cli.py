@@ -21,8 +21,6 @@ import os
 import sys
 from pathlib import Path
 
-from .economics import leasing_revenue_slot
-from .feasibility import is_feasible
 from .metrics import runtime_scaling, write_bench_csv
 from .model import ConfigError, Scenario, SolverResult
 from .scenario import CsvFormatError, build_scenario, load_config
@@ -55,31 +53,34 @@ def _write_lines(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _apply_overrides(config: dict, args) -> dict:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config["traffic"]["seed"] = args.seed
-    if getattr(args, "pricing", None):
+    if args.pricing:
         config["pricing"]["policy"] = args.pricing
-    if getattr(args, "demand", None):
+    if args.demand:
         config["demand"]["mode"] = args.demand
-    if getattr(args, "offload_mode", None):
+    if args.offload_mode:
         config["offload_mode"] = args.offload_mode
     return config
 
 
+def _scenario(args) -> Scenario:
+    config = _apply_overrides(load_config(args.config), args)
+    # build_scenario validates again: that second check is the one that
+    # rejects a bad override, such as a negative --seed
+    return build_scenario(config)
+
+
 def _sa_params(args) -> SaParams:
-    seed = getattr(args, "seed", None)
-    return SaParams(rng_seed=seed if seed is not None else 0)
+    return SaParams(rng_seed=args.seed if args.seed is not None else 0)
 
 
-def _write_run_outputs(
-    out: Path, scenario: Scenario, result: SolverResult, seed
-) -> list[Path]:
+def _write_run_outputs(out: Path, scenario: Scenario, result: SolverResult) -> list[Path]:
     revenue_rows = []
     switch_rows = []
-    for t in range(scenario.num_slots):
-        switch = result.per_slot_switch[t]
-        revenue = result.per_slot_revenue[t]
-        report = is_feasible(scenario, t, switch)
+    for t, (switch, revenue, report) in enumerate(
+        zip(result.per_slot_switch, result.per_slot_revenue, result.per_slot_report)
+    ):
         revenue_rows.append(
             [
                 str(t),
@@ -103,7 +104,7 @@ def _write_run_outputs(
     _write_lines(switch_path, ["slot", "switch"], switch_rows)
     summary = {
         "method": result.method,
-        "seed": seed,
+        "seed": scenario.config["traffic"]["seed"],
         "num_slots": scenario.num_slots,
         "num_sbs": scenario.num_sbs,
         "daily_energy": result.daily.energy,
@@ -119,18 +120,16 @@ def _write_run_outputs(
 
 
 def cmd_run(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    scenario = build_scenario(config)
+    scenario = _scenario(args)
     result = solve_day(scenario, Method.from_str(args.method), _sa_params(args))
     out = _resolve_out(args.out)
-    files = _write_run_outputs(out, scenario, result, config["traffic"]["seed"])
+    files = _write_run_outputs(out, scenario, result)
     logger.info("wrote %s", ", ".join(str(f) for f in files))
     return 0
 
 
 def cmd_compare(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    scenario = build_scenario(config)
+    scenario = _scenario(args)
     methods = [Method.from_str(m) for m in args.methods]
     params = _sa_params(args)
     results = {m.value: solve_day(scenario, m, params) for m in methods}
@@ -182,7 +181,7 @@ def cmd_compare(args) -> int:
             }
             for name, res in results.items()
         },
-        "seed": config["traffic"]["seed"],
+        "seed": scenario.config["traffic"]["seed"],
     }
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -194,22 +193,23 @@ def cmd_compare(args) -> int:
 def cmd_bench(args) -> int:
     out = _resolve_out(args.out)
     es_limit = min(args.es_limit, ES_MAX_SBS)
+    methods = [Method.from_str(m) for m in args.methods]
     notes = []
     records = []
     for n in args.n:
         if n < 1:
             raise ConfigError(f"benchmark size must be >= 1, got {n}")
-        for method in args.methods:
-            method = Method.from_str(method)
-            if method is Method.ES and n > es_limit:
-                note = (
-                    f"es refused at n_sbs={n}: enumeration limited to "
-                    f"{es_limit} SBSs (2^{n} states per slot)"
-                )
-                notes.append(note)
-                logger.warning(note)
-                continue
-            records.extend(runtime_scaling([n], [method], args.seed))
+        run = [m for m in methods if m is not Method.ES or n <= es_limit]
+        if len(run) < len(methods):
+            note = (
+                f"es refused at n_sbs={n}: enumeration limited to "
+                f"{es_limit} SBSs (2^{n} states per slot)"
+            )
+            notes += [note] * (len(methods) - len(run))
+            logger.warning(note)
+        if run:
+            # one scenario per size, shared by its methods
+            records.extend(runtime_scaling([n], run, args.seed))
     write_bench_csv(records, out / "bench.csv")
     if notes:
         with open(out / "bench_notes.txt", "w", encoding="utf-8") as fh:
@@ -219,25 +219,19 @@ def cmd_bench(args) -> int:
 
 
 def cmd_market(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    scenario = build_scenario(config)
+    scenario = _scenario(args)
     params = _sa_params(args)
     out = _resolve_out(args.out)
 
     rows = []
     for method in (Method.SA, Method.ES):
         result = solve_day(scenario, method, params)
-        leased = 0
-        for t in range(scenario.num_slots):
-            switch = result.per_slot_switch[t]
-            for j in range(1, scenario.num_sbs + 1):
-                if not switch.is_on(j):
-                    leased += scenario.demand(j, t)
-        # spend is re-derived from the switch vectors, not solver output
-        expenditure = math.fsum(
-            leasing_revenue_slot(scenario, t, result.per_slot_switch[t])
-            for t in range(scenario.num_slots)
+        leased = sum(
+            scenario.demand(j, t)
+            for t, switch in enumerate(result.per_slot_switch)
+            for j in switch.off_indices()
         )
+        expenditure = result.daily.leasing
         unit_cost = _fmt(expenditure / leased) if leased else ""
         rows.append([method.value, _fmt(expenditure), str(leased), unit_cost])
 

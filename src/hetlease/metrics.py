@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .economics import daily_revenue
 from .feasibility import is_feasible
 from .model import InfeasibleSwitchError, Scenario, SwitchVector
 from .scenario import bench_scenario
@@ -122,24 +121,22 @@ def runtime_scaling(
 ) -> list[BenchRecord]:
     """Solve one full day per (network size, method) and record the cost.
 
-    Builds a fresh seeded benchmark scenario per size.  Revenue is
-    re-evaluated from the returned switch vectors through the canonical
-    objective rather than trusting the solver's own report.
+    Builds one seeded benchmark scenario per size, shared by every method.
+    Each record holds ``solve_day``'s wall time, evaluation count and daily
+    total revenue, which sums the canonical objective of every slot.
     """
-    methods = [Method.from_str(m) if isinstance(m, str) else m for m in methods]
     records = []
     for n in n_values:
         scn = bench_scenario(n, seed)
         for method in methods:
             result = solve_day(scn, method, params)
-            replayed = daily_revenue(scn, result.per_slot_switch)
             records.append(
                 BenchRecord(
-                    method=method.value,
+                    method=result.method,
                     n_sbs=n,
                     runtime_ns=result.runtime_ns,
                     evaluations=result.evaluations,
-                    daily_revenue=replayed.total,
+                    daily_revenue=result.daily.total,
                 )
             )
     return records

@@ -14,9 +14,12 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # feasibility imports this module
+    from .feasibility import OffloadReport
 
 # watt-minutes per kilowatt-hour: 1000 W x 60 min
 WATT_MIN_PER_KWH = 60000.0
@@ -446,6 +449,7 @@ class SolverResult:
     method: str
     per_slot_switch: list[SwitchVector]
     per_slot_revenue: list[RevenueBreakdown]
+    per_slot_report: list[OffloadReport]  # solve_day's feasibility check
     daily: RevenueBreakdown
     evaluations: int          # objective evaluations summed over all slots
     runtime_ns: int

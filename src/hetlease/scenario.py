@@ -360,11 +360,15 @@ def _merge_section(defaults: dict, given: dict, path: str) -> dict:
 
 
 def _require_number(value, name: str, integer: bool = False) -> None:
-    """Reject a config value that is not a real (or integer) number."""
+    """Reject a non-number (or non-integer) config value, or one a double cannot hold."""
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if integer else "a number"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a double") from None
 
 
 def _check_number_types(config: dict) -> None:

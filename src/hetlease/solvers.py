@@ -1,10 +1,8 @@
 """Per-slot decision procedures for the switching problem.
 
 Each method takes a scenario and a slot and returns a feasible switch
-vector with its revenue through the canonical objective.  Annealing and
-exhaustive search also return the number of objective evaluations spent;
-the sorting heuristics do not, and ``solve_day`` counts one evaluation
-per greedy slot.
+vector, its revenue through the canonical objective, and the number of
+objective evaluations spent (one for the sorting heuristics).
 
 * ``sa_solve_slot``: simulated annealing over the on/off lattice with
   three neighborhood moves applied sequentially (flip one bit, flip two
@@ -31,7 +29,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .economics import slot_problem, total_revenue_slot
-from .feasibility import is_feasible
+from .feasibility import OffloadReport, is_feasible
 from .model import (
     EnumerationCapError,
     InfeasibleSwitchError,
@@ -505,7 +503,7 @@ def utility_vector(scenario: Scenario, slot: int) -> list[float]:
 
 def sorting_solve_slot(
     scenario: Scenario, slot: int, order: SortOrder
-) -> tuple[SwitchVector, RevenueBreakdown]:
+) -> tuple[SwitchVector, RevenueBreakdown, int]:
     """Greedy utility-ranked switching.
 
     Ranks SBSs by the utility score (ties by index), then walks the
@@ -544,7 +542,7 @@ def sorting_solve_slot(
             break
         mask |= 1 << j
     switch = SwitchVector.from_off_mask(mask, n)
-    return switch, total_revenue_slot(scenario, slot, switch)
+    return switch, total_revenue_slot(scenario, slot, switch), 1
 
 
 def solve_day(
@@ -556,28 +554,25 @@ def solve_day(
 
     Each slot is a self-contained decision; the loop re-checks every
     returned vector against the canonical feasibility gate before
-    accepting it into the result.
+    accepting it into the result, and keeps that check's report.
     """
     if isinstance(method, str):
         method = Method.from_str(method)
-    if params is None:
-        params = SaParams()
+
+    solve_slot = {
+        Method.SA: lambda t: sa_solve_slot(scenario, t, params),
+        Method.ES: lambda t: es_solve_slot(scenario, t),
+        Method.A_TYPE: lambda t: sorting_solve_slot(scenario, t, SortOrder.ASCENDING),
+        Method.D_TYPE: lambda t: sorting_solve_slot(scenario, t, SortOrder.DESCENDING),
+    }[method]
 
     switches: list[SwitchVector] = []
     revenues: list[RevenueBreakdown] = []
+    reports: list[OffloadReport] = []
     evaluations = 0
     started = time.perf_counter_ns()
     for slot in range(scenario.num_slots):
-        if method is Method.SA:
-            switch, revenue, evals = sa_solve_slot(scenario, slot, params)
-        elif method is Method.ES:
-            switch, revenue, evals = es_solve_slot(scenario, slot)
-        else:
-            order = (
-                SortOrder.ASCENDING if method is Method.A_TYPE else SortOrder.DESCENDING
-            )
-            switch, revenue = sorting_solve_slot(scenario, slot, order)
-            evals = 1
+        switch, revenue, evals = solve_slot(slot)
         report = is_feasible(scenario, slot, switch)
         if not report.feasible:
             raise InfeasibleSwitchError(
@@ -585,6 +580,7 @@ def solve_day(
             )
         switches.append(switch)
         revenues.append(revenue)
+        reports.append(report)
         evaluations += evals
     runtime_ns = time.perf_counter_ns() - started
 
@@ -592,6 +588,7 @@ def solve_day(
         method=method.value,
         per_slot_switch=switches,
         per_slot_revenue=revenues,
+        per_slot_report=reports,
         daily=daily_breakdown(revenues),
         evaluations=evaluations,
         runtime_ns=runtime_ns,

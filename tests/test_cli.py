@@ -1,9 +1,24 @@
 import json
+import math
 
 import pytest
 
-from hetlease import save_config, validate_config
+from hetlease import (
+    SaParams,
+    SwitchVector,
+    build_scenario,
+    is_feasible,
+    leasing_revenue_slot,
+    load_config,
+    save_config,
+    solve_day,
+    validate_config,
+)
+from hetlease import feasibility
 from hetlease.cli import main
+
+# an integer too large for a double
+HUGE = "1" * 401
 
 
 @pytest.fixture
@@ -62,6 +77,50 @@ def test_run_writes_per_slot_files(small_config, tmp_path):
     assert summary["daily_total"] == pytest.approx(
         sum(float(row[3]) for row in rows), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("method", ["dtype", "sa"])
+def test_run_checks_each_slot_once(small_config, tmp_path, monkeypatch, method):
+    calls = []
+    check = feasibility.offloaded_mbs_load
+
+    def counted(*args):
+        calls.append(args[1])
+        return check(*args)
+
+    monkeypatch.setattr(feasibility, "offloaded_mbs_load", counted)
+    assert main(["run", "--config", str(small_config), "--method", method,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert calls == list(range(36))
+
+
+@pytest.mark.parametrize("method", ["dtype", "sa"])
+def test_run_mbs_load_is_the_canonical_check(small_config, tmp_path, method):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(small_config), "--method", method,
+                 "--out", str(out)]) == 0
+    scenario = build_scenario(load_config(small_config))
+    _, revenue = read_rows(out / "revenue_per_slot.csv")
+    _, switches = read_rows(out / "switch_per_slot.csv")
+    for (t, bits), row in zip(switches, revenue):
+        switch = SwitchVector(gamma=tuple(c == "1" for c in bits))
+        report = is_feasible(scenario, int(t), switch)
+        assert float(row[4]).hex() == report.mbs_load_after.hex()
+        assert row[5] == ("true" if report.feasible else "false")
+
+
+def test_market_expenditure_is_the_canonical_leasing_sum(small_config, tmp_path):
+    out = tmp_path / "market"
+    assert main(["market", "--config", str(small_config), "--out", str(out)]) == 0
+    scenario = build_scenario(load_config(small_config))
+    _, rows = read_rows(out / "market.csv")
+    for row in rows:
+        result = solve_day(scenario, row[0], SaParams(rng_seed=0))
+        spent = math.fsum(
+            leasing_revenue_slot(scenario, t, switch)
+            for t, switch in enumerate(result.per_slot_switch)
+        )
+        assert float(row[1]).hex() == spent.hex()
 
 
 def test_run_is_deterministic(small_config, tmp_path):
@@ -219,6 +278,24 @@ def test_unknown_method_is_an_error(small_config, tmp_path, capsys):
         ("stations: [{kind: macro}, {kind: micro, p_tx: .nan}]", "p_tx"),
         ("stations: [{kind: macro, bandwidth_mhz: .nan}]", "bandwidth_mhz"),
         ("stations: [{kind: macro}, {kind: micro, bandwidth_mhz: .inf}]", "bandwidth_mhz"),
+        pytest.param(
+            f"pricing: {{fixed_electricity: {HUGE}}}", "pricing.fixed_electricity",
+            id="huge-fixed_electricity",
+        ),
+        pytest.param(
+            f"mbs_capacity_limit: {HUGE}", "mbs_capacity_limit", id="huge-capacity"
+        ),
+        pytest.param(f"demand: {{beta: {HUGE}}}", "demand.beta", id="huge-beta"),
+        pytest.param(
+            f"stations: [{{kind: macro}}, {{kind: micro, rb_capacity: {HUGE}}}]",
+            "rb_capacity",
+            id="huge-rb_capacity",
+        ),
+        pytest.param(
+            f"pricing: {{policy: dynamic, electricity_profile: [1.0, {HUGE}]}}",
+            "pricing.electricity_profile[1]",
+            id="huge-profile-entry",
+        ),
     ],
 )
 def test_mistyped_config_value_is_a_one_line_error(tmp_path, capsys, yaml_text, key):

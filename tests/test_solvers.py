@@ -718,7 +718,7 @@ class TestSortingHeuristics:
     def test_idle_network_sleeps_everything(self):
         scn = build_tiny([[0.0, 0.0, 0.0, 0.0]])
         for order in SortOrder:
-            switch, _ = sorting_solve_slot(scn, 0, order)
+            switch, _, _ = sorting_solve_slot(scn, 0, order)
             assert switch.off_mask() == 0b111
 
     def test_hand_instance_descending_beats_ascending(self):
@@ -726,8 +726,8 @@ class TestSortingHeuristics:
         # first (macro 0.5+0.3 fits, +0.3 more does not); ascending sleeps
         # the worst cell first and stops just the same
         scn = build_tiny([[0.5, 0.3, 0.3, 0.4]], demand=[30, 20, 5])
-        d_switch, d_revenue = sorting_solve_slot(scn, 0, SortOrder.DESCENDING)
-        a_switch, a_revenue = sorting_solve_slot(scn, 0, SortOrder.ASCENDING)
+        d_switch, d_revenue, _ = sorting_solve_slot(scn, 0, SortOrder.DESCENDING)
+        a_switch, a_revenue, _ = sorting_solve_slot(scn, 0, SortOrder.ASCENDING)
         assert d_switch.off_mask() == 0b001
         assert a_switch.off_mask() == 0b100
         assert d_revenue.total == pytest.approx(
@@ -747,7 +747,7 @@ class TestSortingHeuristics:
             ranked = sorted(
                 range(1, scn.num_sbs + 1), key=lambda j: (sign * scores[j - 1], j)
             )
-            switch, _ = sorting_solve_slot(scn, slot, order)
+            switch, _, _ = sorting_solve_slot(scn, slot, order)
             off = {j for j in range(1, scn.num_sbs + 1) if not switch.gamma[j]}
             assert off == set(ranked[: len(off)])
             if len(off) < scn.num_sbs:
@@ -793,7 +793,7 @@ class TestGreedyGolden:
 
     @pytest.mark.parametrize("name,order,slot,mask,total", GREEDY_GOLDEN)
     def test_matches_recorded_run(self, scenarios, name, order, slot, mask, total):
-        switch, revenue = sorting_solve_slot(scenarios[name], slot, SortOrder(order))
+        switch, revenue, _ = sorting_solve_slot(scenarios[name], slot, SortOrder(order))
         assert (switch.off_mask(), revenue.total.hex()) == (mask, total)
 
 
@@ -836,9 +836,10 @@ class TestGreedyMatchesOracle:
         """Assert both orders match the oracle; return their off masks."""
         masks = []
         for order in SortOrder:
-            switch, revenue = sorting_solve_slot(scn, 0, order)
+            switch, revenue, evals = sorting_solve_slot(scn, 0, order)
             mask = oracles.greedy_prefix(scn, 0, order is SortOrder.DESCENDING)
             expected = SwitchVector.from_off_mask(mask, scn.num_sbs)
+            assert evals == 1
             assert switch.off_mask() == mask
             assert revenue.total.hex() == total_revenue_slot(scn, 0, expected).total.hex()
             masks.append(mask)
