@@ -135,21 +135,22 @@ def cmd_compare(args) -> int:
     results = {m.value: solve_day(scenario, m, params) for m in methods}
     out = _resolve_out(args.out)
 
-    slots_per_hour = max(1, 60 // scenario.grid.slot_min)
-    hourly: dict[str, list[float]] = {}
+    # each slot is labelled with the hour it starts in; an hour's revenue
+    # sums every slot that starts in it
+    slot_min = scenario.grid.slot_min
+    hours = [t * slot_min // 60 for t in range(scenario.num_slots)]
+    hourly: dict[str, dict[int, float]] = {}
     for name, result in results.items():
-        totals = [r.total for r in result.per_slot_revenue]
-        hourly[name] = [
-            math.fsum(totals[h : h + slots_per_hour])
-            for h in range(0, scenario.num_slots, slots_per_hour)
-        ]
+        by_hour: dict[int, list[float]] = {}
+        for hour, revenue in zip(hours, result.per_slot_revenue):
+            by_hour.setdefault(hour, []).append(revenue.total)
+        hourly[name] = {h: math.fsum(totals) for h, totals in by_hour.items()}
 
     header = ["slot", "hour", "mbs_load", "sn_demand_total"]
     for name in results:
         header += [f"{name}_total", f"{name}_hourly"]
     rows = []
-    for t in range(scenario.num_slots):
-        hour = t // slots_per_hour
+    for t, hour in enumerate(hours):
         demand_total = sum(
             scenario.demand(j, t) for j in range(1, scenario.num_sbs + 1)
         )

@@ -19,6 +19,7 @@ from .model import (
     RevenueBreakdown,
     Scenario,
     SwitchVector,
+    _off_bits,
     daily_breakdown,
 )
 
@@ -47,10 +48,9 @@ def hetnet_power_slot(scenario: Scenario, slot: int, switch: SwitchVector) -> fl
         )
     active = scenario._active_power_by_slot[slot]
     sleep = scenario._sleep_powers
-    gamma = switch.gamma
     total = scenario.stations[0].power(mbs_load)
-    for j in range(1, len(gamma)):
-        total += active[j] if gamma[j] else sleep[j]
+    for j, bit in enumerate(_off_bits(switch.mask, switch.num_sbs), start=1):
+        total += sleep[j] if bit == "1" else active[j]
     return total
 
 
@@ -69,11 +69,10 @@ def leasing_revenue_slot(scenario: Scenario, slot: int, switch: SwitchVector) ->
     """Income from leasing the resource blocks of every off SBS."""
     price = scenario._spectrum_by_slot[slot]
     demands = scenario._demands_by_slot[slot]
-    gamma = switch.gamma
     revenue = 0.0
-    for j in range(1, len(gamma)):
-        if not gamma[j]:
-            revenue += demands[j - 1] * price
+    for bit, demand in zip(bin(switch.mask)[:1:-1], demands):
+        if bit == "1":
+            revenue += demand * price
     return revenue
 
 

@@ -10,9 +10,10 @@ before, with every offloaded unit accounted at the macro cell.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .model import Scenario, SwitchVector
+from .model import Scenario, SwitchVector, _off_bits
 
 # slack for the traffic-conservation identity; covers float re-association only
 CONSERVATION_TOL = 1e-12
@@ -33,24 +34,29 @@ class OffloadReport:
         return abs(self.demand_before - self.demand_after) <= CONSERVATION_TOL
 
 
-def offloaded_mbs_load(scenario: Scenario, slot: int, switch: SwitchVector) -> float:
-    """Macro-cell load in ``slot`` after absorbing every off SBS.
+def _ascending_sum(mask: int, start: float, terms: Sequence[float]) -> float:
+    """``start`` plus ``terms[j]`` for every set bit j of ``mask``, added in
+    ascending j.  This is the package's one accumulation order: every exact
+    macro load, and every exact search value the solvers compare, is summed
+    here."""
+    total = start
+    for bit, term in zip(bin(mask)[:1:-1], terms):
+        if bit == "1":
+            total += term
+    return total
 
-    Accumulates in ascending station order; every evaluation path in the
-    package reuses this function (or reproduces its exact accumulation
-    order) so feasibility and revenue agree bit for bit.
-    """
-    gamma = switch.gamma
-    if len(gamma) != scenario.num_sbs + 1:
+
+def offloaded_mbs_load(scenario: Scenario, slot: int, switch: SwitchVector) -> float:
+    """Macro-cell load in ``slot`` after absorbing every off SBS: the
+    macro's own load plus each off SBS's contribution, summed by
+    ``_ascending_sum``, so feasibility and revenue agree bit for bit."""
+    if switch.num_sbs != scenario.num_sbs:
         raise ValueError(
             f"switch vector covers {switch.num_sbs} SBSs, scenario has {scenario.num_sbs}"
         )
-    contrib = scenario._contrib_by_slot[slot]
-    load = scenario.load(0, slot)
-    for j in range(1, len(gamma)):
-        if not gamma[j]:
-            load += contrib[j - 1]
-    return load
+    return _ascending_sum(
+        switch.mask, scenario._loads_by_slot[slot][0], scenario._contrib_by_slot[slot]
+    )
 
 
 def is_feasible(scenario: Scenario, slot: int, switch: SwitchVector) -> OffloadReport:
@@ -65,10 +71,10 @@ def is_feasible(scenario: Scenario, slot: int, switch: SwitchVector) -> OffloadR
     loads = scenario._loads_by_slot[slot]
     demand_before = math.fsum(loads)
     # served = macro's own users + offloaded SBS users + active SBS users
-    gamma = switch.gamma
-    offloaded = math.fsum(loads[j] for j in range(1, len(loads)) if not gamma[j])
-    active = math.fsum(loads[j] for j in range(1, len(loads)) if gamma[j])
-    demand_after = (loads[0] + offloaded) + active
+    offloaded, active = [], []
+    for bit, load in zip(_off_bits(switch.mask, switch.num_sbs), loads[1:]):
+        (offloaded if bit == "1" else active).append(load)
+    demand_after = (loads[0] + math.fsum(offloaded)) + math.fsum(active)
 
     feasible = (
         after_load <= scenario.mbs_capacity_limit

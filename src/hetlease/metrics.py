@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .feasibility import is_feasible
-from .model import InfeasibleSwitchError, Scenario, SwitchVector
+from .model import InfeasibleSwitchError, Scenario, SwitchVector, _off_bits
 from .scenario import bench_scenario
 from .solvers import Method, SaParams, solve_day
 
@@ -35,14 +35,12 @@ def network_throughput(scenario: Scenario, slot: int, switch: SwitchVector) -> f
         raise InfeasibleSwitchError(
             f"throughput undefined: switch violates QoS in slot {slot}"
         )
-    served_by_macro = [scenario.load(0, slot)]
+    loads = scenario._loads_by_slot[slot]
+    served_by_macro = [loads[0]]
     served_locally = []
-    for j in range(1, scenario.num_sbs + 1):
-        if switch.is_on(j):
-            served_locally.append(scenario.load(j, slot))
-        else:
-            # sleeping cell: its users ride on the macro carrier
-            served_by_macro.append(scenario.load(j, slot))
+    for bit, load in zip(_off_bits(switch.mask, switch.num_sbs), loads[1:]):
+        # a sleeping cell's users ride on the macro carrier
+        (served_by_macro if bit == "1" else served_locally).append(load)
     return math.fsum(served_by_macro + served_locally)
 
 

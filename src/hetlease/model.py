@@ -212,50 +212,59 @@ class OffloadMode(enum.Enum):
     CAPACITY_SCALED = "capacity_scaled"
 
 
+def _off_bits(mask: int, num_sbs: int) -> str:
+    """The ``num_sbs`` low bits of ``mask``, lowest first: character j is
+    '1' when SBS j+1 is off.  Every walk over a switch reads this string in
+    this one ascending order; the sentinel bit ``1 << num_sbs`` pads it to
+    full length without a shift per cell."""
+    return bin(mask | 1 << num_sbs)[:2:-1]
+
+
 @dataclass(frozen=True)
 class SwitchVector:
-    """On/off state per station; index 0 is the macro and is always on."""
+    """On/off state of a network's SBSs, as an off-bitmask.
 
-    gamma: tuple[bool, ...]
+    Bit j of ``mask`` set means SBS j+1 (station j+1) is off.  The macro,
+    station 0, is always on and has no bit.  ``gamma`` (macro first, True
+    means on), ``is_on``, ``off_indices`` and ``bitstring`` are derived
+    from the mask.
+    """
+
+    mask: int
+    num_sbs: int
 
     def __post_init__(self):
-        gamma = tuple(map(bool, self.gamma))
-        if not gamma:
-            raise ConfigError("switch vector needs at least the macro entry")
-        if not gamma[0]:
-            raise ConfigError("macro station (index 0) cannot be switched off")
-        object.__setattr__(self, "gamma", gamma)
+        if self.num_sbs < 0:
+            raise ConfigError(f"a network cannot have {self.num_sbs} SBSs")
+        if not 0 <= self.mask < 1 << self.num_sbs:
+            raise ValueError(f"mask {self.mask} out of range for {self.num_sbs} SBSs")
 
     @property
-    def num_sbs(self) -> int:
-        return len(self.gamma) - 1
+    def gamma(self) -> tuple[bool, ...]:
+        """On flag per station, macro first."""
+        return (True, *map("0".__eq__, _off_bits(self.mask, self.num_sbs)))
 
     def is_on(self, index: int) -> bool:
-        return self.gamma[index]
+        if not 0 <= index <= self.num_sbs:
+            raise IndexError(f"station {index} out of range for {self.num_sbs} SBSs")
+        return index == 0 or not self.mask >> (index - 1) & 1
 
     def off_indices(self) -> tuple[int, ...]:
-        """Station indices (1-based positions in the vector) that are off."""
-        return tuple(i for i, g in enumerate(self.gamma) if not g)
+        """Station indices of the off SBSs, ascending."""
+        return tuple(j for j, bit in enumerate(bin(self.mask)[:1:-1], 1) if bit == "1")
 
     def off_mask(self) -> int:
         """Bitmask over SBSs: bit j set means SBS j+1 is off."""
-        mask = 0
-        for j in range(1, len(self.gamma)):
-            if not self.gamma[j]:
-                mask |= 1 << (j - 1)
-        return mask
+        return self.mask
 
     @classmethod
     def all_on(cls, num_sbs: int) -> "SwitchVector":
-        return cls(gamma=(True,) * (num_sbs + 1))
+        return cls(0, num_sbs)
 
     @classmethod
     def from_off_mask(cls, mask: int, num_sbs: int) -> "SwitchVector":
         """Build a vector from an SBS off-bitmask (bit j -> SBS j+1 off)."""
-        if mask < 0 or mask >= (1 << num_sbs):
-            raise ValueError(f"mask {mask} out of range for {num_sbs} SBSs")
-        gamma = [True] + [not (mask >> j) & 1 for j in range(num_sbs)]
-        return cls(gamma=tuple(gamma))
+        return cls(mask, num_sbs)
 
     @classmethod
     def from_off_indices(cls, off: Iterable[int], num_sbs: int) -> "SwitchVector":
@@ -266,12 +275,13 @@ class SwitchVector:
             raise ValueError(
                 f"off indices {sorted(off)} out of range for {num_sbs} SBSs"
             )
-        gamma = [True] + [j not in off for j in range(1, num_sbs + 1)]
-        return cls(gamma=tuple(gamma))
+        return cls(sum(1 << (j - 1) for j in off), num_sbs)
 
     def bitstring(self) -> str:
         """Readable form, macro first: '1' on, '0' off."""
-        return "".join("1" if g else "0" for g in self.gamma)
+        # the complement's set bits are the SBSs that are on
+        n = self.num_sbs
+        return "1" + _off_bits(self.mask ^ (1 << n) - 1, n)
 
 
 @dataclass(frozen=True)

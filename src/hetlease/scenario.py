@@ -161,20 +161,29 @@ def ingest_activity_csv(
     return series
 
 
-def normalize_series(raw: np.ndarray) -> list[TrafficSeries]:
+def normalize_series(
+    raw: np.ndarray, scale: Sequence[float] | None = None
+) -> list[TrafficSeries]:
     """Scale each station's series by its own maximum, so the busiest
-    observed slot maps to full utilization (load 1.0)."""
+    observed slot maps to full utilization (load 1.0), then by the
+    station's factor in ``scale`` (``traffic.scale``: one per station, in
+    (0, 1]; none means 1)."""
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2:
         raise ConfigError("expected one row of raw activity per station")
     if raw.min() < 0:
         raise ConfigError("raw activity cannot be negative")
+    factors = [1.0] * len(raw) if scale is None else scale
+    if len(factors) != len(raw):
+        raise ConfigError("traffic.scale needs one factor per station")
     out = []
-    for i in range(raw.shape[0]):
-        peak = raw[i].max()
+    for i, (row, factor) in enumerate(zip(raw, factors)):
+        peak = row.max()
         if peak <= 0:
             raise ConfigError(f"station {i} has all-zero activity; cannot normalize")
-        out.append(TrafficSeries(values=raw[i] / peak))
+        if not 0 < factor <= 1:
+            raise ConfigError("traffic scale factors must lie in (0, 1]")
+        out.append(TrafficSeries(values=(row / peak) * factor))
     return out
 
 
@@ -472,17 +481,7 @@ def build_scenario(config: dict) -> Scenario:
     else:
         raise ConfigError(f"unknown traffic source {tcfg['source']!r}")
 
-    traffic = normalize_series(raw)
-    scale = tcfg["scale"]
-    if scale is not None:
-        if len(scale) != num_stations:
-            raise ConfigError("traffic.scale needs one factor per station")
-        scaled = []
-        for ts, factor in zip(traffic, scale):
-            if not 0 < factor <= 1:
-                raise ConfigError("traffic scale factors must lie in (0, 1]")
-            scaled.append(TrafficSeries(values=ts.values * factor))
-        traffic = scaled
+    traffic = normalize_series(raw, tcfg["scale"])
 
     pricing = _build_pricing(config["pricing"], traffic, grid.num_slots)
 

@@ -29,7 +29,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .economics import slot_problem, total_revenue_slot
-from .feasibility import OffloadReport, is_feasible
+from .feasibility import OffloadReport, _ascending_sum, is_feasible
 from .model import (
     EnumerationCapError,
     InfeasibleSwitchError,
@@ -37,6 +37,7 @@ from .model import (
     Scenario,
     SolverResult,
     SwitchVector,
+    _off_bits,
     daily_breakdown,
 )
 
@@ -59,20 +60,6 @@ _RETRY_DRAWS = 32
 SA_GUARD_REL = 1e-9
 
 
-def _ascending_sum(mask: int, start: float, terms: Sequence[float]) -> float:
-    """``start`` plus ``terms[j]`` for every set bit j of ``mask``, added in
-    ascending j: the accumulation order of ``offloaded_mbs_load``.  Every
-    exact load and value in this module is summed here."""
-    total = start
-    j = 0
-    while mask:
-        if mask & 1:
-            total += terms[j]
-        mask >>= 1
-        j += 1
-    return total
-
-
 def _ascending_sums(n: int, start: float, terms: Sequence[float]) -> Iterator[float]:
     """``_ascending_sum(mask, start, terms)`` for every mask in
     ``range(1 << n)``, in increasing mask order, bit for bit.
@@ -85,18 +72,14 @@ def _ascending_sums(n: int, start: float, terms: Sequence[float]) -> Iterator[fl
     """
     low = min(n, _ES_BLOCK_BITS)
     table = [start]
-    for j in range(low):
-        term = terms[j]
+    for term in terms[:low]:
         table += [x + term for x in table]
+    high_terms = terms[low:n]
     for high in range(1 << (n - low)):
         block = table
-        j = low
-        while high:
-            if high & 1:
-                term = terms[j]
+        for bit, term in zip(bin(high)[:1:-1], high_terms):
+            if bit == "1":
                 block = [x + term for x in block]
-            high >>= 1
-            j += 1
         yield from block
 
 
@@ -338,8 +321,8 @@ def sa_solve_slot(
 
     def rebuild(mask: int) -> tuple[float, float]:
         """Reset the delta lists to ``mask``; return its exact load and value."""
-        for j in range(n):
-            off = is_off[j] = bool((mask >> j) & 1)
+        for j, bit in enumerate(_off_bits(mask, n)):
+            off = is_off[j] = bit == "1"
             dl[j] = -contrib[j] if off else contrib[j]
             dv[j] = -weights[j] if off else weights[j]
         return _ascending_sum(mask, base, contrib), _ascending_sum(mask, 0.0, weights)

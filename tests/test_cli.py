@@ -103,7 +103,8 @@ def test_run_mbs_load_is_the_canonical_check(small_config, tmp_path, method):
     _, revenue = read_rows(out / "revenue_per_slot.csv")
     _, switches = read_rows(out / "switch_per_slot.csv")
     for (t, bits), row in zip(switches, revenue):
-        switch = SwitchVector(gamma=tuple(c == "1" for c in bits))
+        off = [j for j, c in enumerate(bits) if c == "0"]
+        switch = SwitchVector.from_off_indices(off, len(bits) - 1)
         report = is_feasible(scenario, int(t), switch)
         assert float(row[4]).hex() == report.mbs_load_after.hex()
         assert row[5] == ("true" if report.feasible else "false")
@@ -183,6 +184,24 @@ def test_compare_single_method_matches_run(small_config, tmp_path):
     _, run_rows = read_rows(run_out / "revenue_per_slot.csv")
     col = cmp_header.index("es_total")
     assert [row[col] for row in cmp_rows] == [row[3] for row in run_rows]
+
+
+@pytest.mark.parametrize("slot_min", [45, 120])
+def test_compare_labels_each_slot_with_its_start_hour(small_config, tmp_path, slot_min):
+    config = load_config(small_config)
+    config["grid"] = {"horizon_min": 1440, "slot_min": slot_min}
+    path = tmp_path / "grid.yaml"
+    save_config(config, path)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(path), "--methods", "dtype",
+                 "--out", str(out)]) == 0
+    header, rows = read_rows(out / "compare_revenue.csv")
+    total, hourly = header.index("dtype_total"), header.index("dtype_hourly")
+    assert len(rows) == 1440 // slot_min
+    assert [int(row[1]) for row in rows] == [t * slot_min // 60 for t in range(len(rows))]
+    for row in rows:
+        same_hour = [float(r[total]) for r in rows if r[1] == row[1]]
+        assert float(row[hourly]).hex() == math.fsum(same_hour).hex()
 
 
 def test_bench_records_every_size_method_pair(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -115,14 +116,62 @@ class TestSeries:
         assert ps.electricity[0] == 0.0
 
 
+def _naive_gamma(mask: int, n: int) -> tuple[bool, ...]:
+    return (True,) + tuple(not (mask >> j) & 1 for j in range(n))
+
+
+def _masks():
+    """Every mask at N = 0, 1, 2 and 4, and seeded random masks at N = 128."""
+    rng = random.Random(128)
+    random_masks = [0, (1 << 128) - 1, 1 << 127, 1] + [
+        rng.getrandbits(128) for _ in range(40)
+    ]
+    return [(m, n) for n in (0, 1, 2, 4) for m in range(1 << n)] + [
+        (m, 128) for m in random_masks
+    ]
+
+
 class TestSwitchVector:
     def test_macro_must_stay_on(self):
-        with pytest.raises(ValueError):
-            SwitchVector(gamma=(False, True))
+        with pytest.raises(ConfigError):
+            SwitchVector.from_off_indices([0], 1)
 
-    def test_int_gamma_coerced_to_bool(self):
-        sv = SwitchVector(gamma=(1, 0, 1))
-        assert sv.gamma == (True, False, True)
+    @pytest.mark.parametrize("mask, n", _masks())
+    def test_views_match_naive_reference(self, mask, n):
+        sv = SwitchVector.from_off_mask(mask, n)
+        gamma = _naive_gamma(mask, n)
+        assert sv.gamma == gamma
+        assert sv.bitstring() == "".join("1" if g else "0" for g in gamma)
+        assert sv.off_indices() == tuple(i for i, g in enumerate(gamma) if not g)
+        assert [sv.is_on(i) for i in range(n + 1)] == list(gamma)
+        assert sv.off_mask() == sv.mask == mask
+        assert sv.num_sbs == n
+        assert SwitchVector.from_off_indices(sv.off_indices(), n) == sv
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 4, 128])
+    def test_equality_and_hash_follow_gamma(self, n):
+        vectors = [SwitchVector.from_off_mask(m, k) for m, k in _masks()]
+        for sv in vectors:
+            if sv.num_sbs != n:
+                continue
+            twin = SwitchVector(sv.mask, n)
+            assert twin == sv and hash(twin) == hash(sv)
+            for other in vectors:
+                assert (other == sv) == (other.gamma == sv.gamma)
+
+    @pytest.mark.parametrize("mask, n", [(-1, 3), (8, 3), (1, 0), (1 << 128, 128)])
+    def test_constructor_rejects_mask_out_of_range(self, mask, n):
+        with pytest.raises(ValueError):
+            SwitchVector(mask, n)
+
+    def test_constructor_rejects_negative_size(self):
+        with pytest.raises(ConfigError):
+            SwitchVector(0, -1)
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_is_on_rejects_index_out_of_range(self, index):
+        with pytest.raises(IndexError):
+            SwitchVector.all_on(3).is_on(index)
 
     @pytest.mark.parametrize("mask", range(16))
     def test_off_mask_round_trip(self, mask):

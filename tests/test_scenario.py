@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -307,6 +308,37 @@ class TestConfig:
         scn = build_scenario(config)
         assert scn.traffic[0].values.max() == pytest.approx(0.5, rel=1e-12)
         assert scn.traffic[1].values.max() == pytest.approx(1.0, rel=1e-12)
+
+    def test_scaled_traffic_builds_one_series_per_station(self, monkeypatch):
+        config = bench_config(8)
+        raw = synth_traffic(config["traffic"]["seed"], 144, 9)
+        built = []
+        post_init = TrafficSeries.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(TrafficSeries, "__post_init__", counted)
+        scn = build_scenario(config)
+        assert len(built) == len(scn.stations) == 9
+        for row, factor, ts in zip(raw, config["traffic"]["scale"], scn.traffic):
+            assert np.array_equal(ts.values, (row / row.max()) * factor)
+
+    @pytest.mark.parametrize(
+        "scale, message",
+        [([0.5], "one factor per station"), ([0.5, 1.5], "must lie in (0, 1]"),
+         ([0.5, 0], "must lie in (0, 1]")],
+    )
+    def test_bad_scale_keeps_its_message(self, scale, message):
+        config = validate_config(
+            {
+                "stations": [{"kind": "macro"}, {"kind": "micro"}],
+                "traffic": {"seed": 1, "scale": scale},
+            }
+        )
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_scenario(config)
 
     def test_round_trip_through_yaml(self, tmp_path):
         config = reference_config(pricing="dynamic", demand_mode="dt")
