@@ -13,11 +13,9 @@ import numpy as np
 from hetlease import (
     BsKind,
     OffloadMode,
-    PricingSeries,
     Scenario,
     SwitchVector,
     TimeGrid,
-    TrafficSeries,
     default_parameter_set,
     hetnet_power_slot,
     is_feasible,
@@ -33,9 +31,10 @@ macro, micro = params[BsKind.MACRO], params[BsKind.MICRO]
 scenario = Scenario(
     grid=TimeGrid(horizon_min=10, slot_min=10),
     stations=(macro, micro),
-    traffic=(TrafficSeries(values=[0.30]), TrafficSeries(values=[0.40])),
+    traffic=np.array([[0.30], [0.40]]),  # one row per station, one column per slot
     sn_demand=np.array([[14]]),
-    pricing=PricingSeries(electricity=[0.1293], spectrum=[0.13]),
+    electricity=[0.1293],
+    spectrum=[0.13],
     offload_mode=OffloadMode.DIRECT,
 )
 

@@ -41,13 +41,11 @@ from .model import (
     EnumerationCapError,
     InfeasibleSwitchError,
     OffloadMode,
-    PricingSeries,
     RevenueBreakdown,
     Scenario,
     SolverResult,
     SwitchVector,
     TimeGrid,
-    TrafficSeries,
     daily_breakdown,
     default_parameter_set,
 )

@@ -119,7 +119,14 @@ class SlotProblem(NamedTuple):
 
 
 def slot_problem(scenario: Scenario, slot: int) -> SlotProblem:
-    """The knapsack row of one slot, read from the scenario's tables."""
+    """The knapsack row of one slot, read from the scenario's tables.
+
+    Every slot solver reads its row here first, so a slot outside
+    ``range(num_slots)`` raises IndexError before any table is read (a
+    negative index would otherwise read a slot from the end of the day).
+    """
+    if not 0 <= slot < scenario.num_slots:
+        raise IndexError(f"slot {slot} outside range({scenario.num_slots})")
     return SlotProblem(
         base=scenario._loads_by_slot[slot][0],
         cap=scenario.mbs_capacity_limit,

@@ -10,14 +10,13 @@ in exact evaluation counts and in wall time.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .feasibility import is_feasible
-from .model import InfeasibleSwitchError, Scenario, SwitchVector, _off_bits
+from .model import InfeasibleSwitchError, Scenario, SwitchVector
 from .scenario import bench_scenario
 from .solvers import Method, SaParams, solve_day
 
@@ -25,23 +24,17 @@ from .solvers import Method, SaParams, solve_day
 def network_throughput(scenario: Scenario, slot: int, switch: SwitchVector) -> float:
     """Total served load in one slot under a feasible switch vector.
 
-    Sums the macro cell's own load, the loads it absorbs from sleeping
-    SBSs (counted in source units), and the loads of active SBSs.  The
-    compensated sum makes the result bit-identical for every feasible
-    switch, since the addend multiset never changes.
+    Whatever a sleeping SBS would have served the macro cell serves
+    instead, so a feasible switch serves every station's load: this is
+    ``is_feasible``'s compensated ``demand_before``, bit-identical for
+    every feasible switch.
     """
     report = is_feasible(scenario, slot, switch)
     if not report.feasible:
         raise InfeasibleSwitchError(
             f"throughput undefined: switch violates QoS in slot {slot}"
         )
-    loads = scenario._loads_by_slot[slot]
-    served_by_macro = [loads[0]]
-    served_locally = []
-    for bit, load in zip(_off_bits(switch.mask, switch.num_sbs), loads[1:]):
-        # a sleeping cell's users ride on the macro carrier
-        (served_by_macro if bit == "1" else served_locally).append(load)
-    return math.fsum(served_by_macro + served_locally)
+    return report.demand_before
 
 
 def throughput_invariance_report(
@@ -64,13 +57,13 @@ def throughput_invariance_report(
         raise ValueError("need at least two variants to compare")
     first = named[0][1]
     for name, scn in named[1:]:
-        if scn.num_sbs != first.num_sbs or scn.num_slots != first.num_slots:
+        if scn.traffic.shape != first.traffic.shape:
             raise ValueError(f"variant {name!r} has a different network shape")
-        for i in range(scn.num_sbs + 1):
-            if not np.array_equal(scn.traffic[i].values, first.traffic[i].values):
-                raise ValueError(
-                    f"variant {name!r} does not share primary traffic (station {i})"
-                )
+        differs = np.flatnonzero((scn.traffic != first.traffic).any(axis=1))
+        if differs.size:
+            raise ValueError(
+                f"variant {name!r} does not share primary traffic (station {differs[0]})"
+            )
 
     per_variant = []
     for name, scn in named:

@@ -138,67 +138,6 @@ class TimeGrid:
         return (np.arange(self.num_slots) + 0.5) * (self.slot_min / 60.0)
 
 
-def _readonly_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ConfigError(f"{name} must be one-dimensional")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class TrafficSeries:
-    """Normalized per-slot load of one station; every value in [0, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _readonly_float_array(self.values, "traffic series")
-        if arr.size == 0:
-            raise ConfigError("traffic series is empty")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError("traffic series contains non-finite values")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ConfigError(
-                f"traffic values outside [0, 1]: min {arr.min()}, max {arr.max()}"
-            )
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    def __getitem__(self, slot: int) -> float:
-        return float(self.values[slot])
-
-
-@dataclass(frozen=True, eq=False)
-class PricingSeries:
-    """Per-slot prices: electricity in currency/kWh, spectrum in currency/RB."""
-
-    electricity: np.ndarray
-    spectrum: np.ndarray
-
-    def __post_init__(self):
-        elec = _readonly_float_array(self.electricity, "electricity price")
-        spec = _readonly_float_array(self.spectrum, "spectrum price")
-        if elec.size != spec.size:
-            raise ConfigError(
-                f"price series lengths differ: {elec.size} vs {spec.size}"
-            )
-        if elec.size == 0:
-            raise ConfigError("price series is empty")
-        if not (np.all(np.isfinite(elec)) and np.all(np.isfinite(spec))):
-            raise ConfigError("price series contains non-finite values")
-        if elec.min() < 0.0 or spec.min() < 0.0:
-            raise ConfigError("prices must be non-negative")
-        object.__setattr__(self, "electricity", elec)
-        object.__setattr__(self, "spectrum", spec)
-
-    def __len__(self) -> int:
-        return int(self.electricity.size)
-
-
 class OffloadMode(enum.Enum):
     """How an off SBS's load converts into macro-cell load.
 
@@ -318,16 +257,21 @@ class Scenario:
     """A full optimization instance: stations, per-slot series, prices.
 
     ``stations[0]`` is the macro cell; ``stations[1:]`` are SBSs.
-    ``traffic[i]`` is station i's normalized load series.  ``sn_demand``
-    has one row per SBS (row j-1 for station j) holding the integer
-    number of resource blocks the secondary network requests per slot.
+    ``traffic`` is a (stations x slots) matrix of normalized loads in
+    [0, 1]: row i is station i's load series.  ``sn_demand`` has one row
+    per SBS (row j-1 for station j) holding the integer number of
+    resource blocks the secondary network requests per slot.
+    ``electricity`` (currency/kWh) and ``spectrum`` (currency/RB) hold one
+    non-negative price per slot.  Each series is checked once, here, and
+    stored as a read-only copy.
     """
 
     grid: TimeGrid
     stations: tuple[BaseStation, ...]
-    traffic: tuple[TrafficSeries, ...]
+    traffic: np.ndarray
     sn_demand: np.ndarray
-    pricing: PricingSeries
+    electricity: np.ndarray
+    spectrum: np.ndarray
     offload_mode: OffloadMode = OffloadMode.DIRECT
     mbs_capacity_limit: float = 1.0
     config: dict | None = field(default=None, repr=False)
@@ -340,16 +284,26 @@ class Scenario:
         for bs in self.stations[1:]:
             if bs.kind is BsKind.MACRO:
                 raise ConfigError("only station 0 may be a macro cell")
-        if len(self.traffic) != len(self.stations):
-            raise ConfigError(
-                f"{len(self.stations)} stations but {len(self.traffic)} traffic series"
-            )
         n_slots = self.grid.num_slots
-        for i, series in enumerate(self.traffic):
-            if len(series) != n_slots:
+        for name, shape, high in (
+            ("traffic", (len(self.stations), n_slots), 1.0),
+            ("electricity", (n_slots,), math.inf),
+            ("spectrum", (n_slots,), math.inf),
+        ):
+            # C order: the (stations x slots) layout fixes numpy's
+            # summation order over stations
+            values = np.array(getattr(self, name), dtype=np.float64, order="C")
+            if values.shape != shape:
+                raise ConfigError(f"{name} has shape {values.shape}, expected {shape}")
+            if not np.isfinite(values).all():
+                raise ConfigError(f"{name} contains non-finite values")
+            if values.min() < 0.0 or values.max() > high:
                 raise ConfigError(
-                    f"traffic series {i} has {len(series)} slots, grid has {n_slots}"
+                    f"{name} values outside [0, {high}]: "
+                    f"min {values.min()}, max {values.max()}"
                 )
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         demand = np.asarray(self.sn_demand, dtype=np.int64).copy()
         if demand.shape != (self.num_sbs, n_slots):
             raise ConfigError(
@@ -367,14 +321,10 @@ class Scenario:
             )
         demand.setflags(write=False)
         object.__setattr__(self, "sn_demand", demand)
-        if len(self.pricing) != n_slots:
-            raise ConfigError(
-                f"pricing has {len(self.pricing)} slots, grid has {n_slots}"
-            )
         if not 0.0 < self.mbs_capacity_limit <= 1.0:
             raise ConfigError("macro capacity limit must lie in (0, 1]")
         # the all-on network must be feasible in every slot
-        mbs_peak = self.traffic[0].values.max()
+        mbs_peak = self.traffic[0].max()
         if mbs_peak > self.mbs_capacity_limit:
             raise ConfigError(
                 f"macro load peaks at {mbs_peak}, above the "
@@ -390,7 +340,7 @@ class Scenario:
         # thousands of times per slot, and a numpy scalar read costs about
         # twice an array('d') read.
         stations = self.stations
-        loads = np.stack([ts.values for ts in self.traffic], axis=1)
+        loads = self.traffic.T
         contrib = loads[:, 1:]
         if self.offload_mode is OffloadMode.CAPACITY_SCALED:
             # macro-load increment per sleeping SBS, in macro resource blocks
@@ -405,12 +355,11 @@ class Scenario:
         allon = active_power[:, 0].copy()
         for i in range(1, len(stations)):
             allon += active_power[:, i]
-        prices = self.pricing
         sleep = np.array([bs.p_sleep for bs in stations[1:]], dtype=np.float64)
         factor = self.grid.slot_min / WATT_MIN_PER_KWH
         weights = (
             active_power[:, 1:] - sleep - contrib * zeta[0] * p_tx[0]
-        ) * factor * prices.electricity[:, None] + demand.T * prices.spectrum[:, None]
+        ) * factor * self.electricity[:, None] + demand.T * self.spectrum[:, None]
 
         def rows(table: np.ndarray) -> tuple[array, ...]:
             # one conversion, then a slice per row: half the cost of
@@ -427,8 +376,8 @@ class Scenario:
         object.__setattr__(self, "_allon_power_by_slot", tuple(allon.tolist()))
         object.__setattr__(self, "_weights_by_slot", rows(weights))
         object.__setattr__(self, "_sleep_powers", tuple(bs.p_sleep for bs in stations))
-        object.__setattr__(self, "_elec_by_slot", tuple(prices.electricity.tolist()))
-        object.__setattr__(self, "_spectrum_by_slot", tuple(prices.spectrum.tolist()))
+        object.__setattr__(self, "_elec_by_slot", tuple(self.electricity.tolist()))
+        object.__setattr__(self, "_spectrum_by_slot", tuple(self.spectrum.tolist()))
 
     @property
     def num_sbs(self) -> int:
@@ -440,12 +389,14 @@ class Scenario:
 
     def load(self, station: int, slot: int) -> float:
         """Normalized load of one station in one slot."""
+        if not (0 <= station <= self.num_sbs and 0 <= slot < self.num_slots):
+            raise IndexError(f"no station {station} in slot {slot} of this scenario")
         return self._loads_by_slot[slot][station]
 
     def demand(self, station: int, slot: int) -> int:
         """Secondary-network RB demand at an SBS (station index >= 1)."""
-        if station < 1:
-            raise IndexError("secondary demand is defined only for SBSs")
+        if not (1 <= station <= self.num_sbs and 0 <= slot < self.num_slots):
+            raise IndexError(f"no SBS {station} in slot {slot} of this scenario")
         return self._demands_by_slot[slot][station - 1]
 
     def all_on(self) -> SwitchVector:

@@ -35,10 +35,8 @@ from .model import (
     BsKind,
     ConfigError,
     OffloadMode,
-    PricingSeries,
     Scenario,
     TimeGrid,
-    TrafficSeries,
     default_parameter_set,
 )
 
@@ -163,55 +161,52 @@ def ingest_activity_csv(
 
 def normalize_series(
     raw: np.ndarray, scale: Sequence[float] | None = None
-) -> list[TrafficSeries]:
-    """Scale each station's series by its own maximum, so the busiest
-    observed slot maps to full utilization (load 1.0), then by the
-    station's factor in ``scale`` (``traffic.scale``: one per station, in
-    (0, 1]; none means 1)."""
+) -> np.ndarray:
+    """Normalized (stations x slots) load matrix from raw activity rows.
+
+    Each station's row is divided by its own maximum, so the busiest
+    observed slot maps to full utilization (load 1.0), then multiplied by
+    the station's factor in ``scale`` (``traffic.scale``: one per station,
+    in (0, 1]; none means 1): ``(raw / peaks[:, None]) * factors[:, None]``.
+    """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2:
         raise ConfigError("expected one row of raw activity per station")
+    if not np.isfinite(raw).all():
+        raise ConfigError("raw activity contains non-finite values")
     if raw.min() < 0:
         raise ConfigError("raw activity cannot be negative")
-    factors = [1.0] * len(raw) if scale is None else scale
+    factors = np.ones(len(raw)) if scale is None else np.asarray(scale, dtype=np.float64)
     if len(factors) != len(raw):
         raise ConfigError("traffic.scale needs one factor per station")
-    out = []
-    for i, (row, factor) in enumerate(zip(raw, factors)):
-        peak = row.max()
-        if peak <= 0:
-            raise ConfigError(f"station {i} has all-zero activity; cannot normalize")
-        if not 0 < factor <= 1:
-            raise ConfigError("traffic scale factors must lie in (0, 1]")
-        out.append(TrafficSeries(values=(row / peak) * factor))
-    return out
+    peaks = raw.max(axis=1)
+    idle = np.flatnonzero(peaks <= 0)
+    if idle.size:
+        raise ConfigError(f"station {idle[0]} has all-zero activity; cannot normalize")
+    if not np.all((factors > 0) & (factors <= 1)):
+        raise ConfigError("traffic scale factors must lie in (0, 1]")
+    return (raw / peaks[:, None]) * factors[:, None]
 
 
 # --- secondary-network demand -------------------------------------------
 
 def sn_demand_from_pn(
-    traffic: Sequence[TrafficSeries],
-    stations: Sequence[BaseStation],
-    beta: float,
-    num_slots: int | None = None,
+    traffic: np.ndarray, stations: Sequence[BaseStation], beta: float
 ) -> np.ndarray:
     """Derive integer RB demand as an occupancy fraction of each SBS.
 
-    demand[j][t] = floor(beta * load * rb_capacity); with beta <= 1 the
-    demand can never exceed the station's own block count.  The result
-    has shape (number of SBSs, slots); ``num_slots`` gives the slot
-    count when there is no SBS series to take it from.
+    ``traffic`` holds one load row per SBS, in the order of ``stations``;
+    the result has the same (SBSs x slots) shape, with
+    demand[j][t] = floor(beta * traffic[j][t] * rb_capacity[j]).  With
+    beta <= 1 the demand can never exceed the station's own block count.
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError("beta must lie in [0, 1]")
-    if len(traffic) != len(stations):
+    traffic = np.asarray(traffic, dtype=np.float64)
+    if traffic.ndim != 2 or len(traffic) != len(stations):
         raise ConfigError("one traffic series per SBS required")
-    if not traffic:
-        return np.zeros((0, num_slots or 0), dtype=np.int64)
-    rows = []
-    for series, bs in zip(traffic, stations):
-        rows.append(np.floor(beta * series.values * bs.rb_capacity).astype(np.int64))
-    return np.array(rows, dtype=np.int64)
+    caps = np.array([bs.rb_capacity for bs in stations], dtype=np.float64)
+    return np.floor(beta * traffic * caps[:, None]).astype(np.int64)
 
 
 def dt_shift(sn_demand: np.ndarray, spectrum_price: np.ndarray) -> np.ndarray:
@@ -252,20 +247,23 @@ def default_electricity_multipliers(num_slots: int) -> np.ndarray:
 
 
 def dynamic_spectrum_price(
-    pn_traffic: Sequence[TrafficSeries],
+    pn_traffic: np.ndarray,
     fixed_price: float,
     m_min: float = 0.5,
     m_max: float = 1.5,
 ) -> np.ndarray:
     """Per-slot spectrum price that follows aggregate network traffic.
 
-    The aggregate load is mapped affinely onto [m_min, m_max] and the
-    factor curve is rescaled to mean 1, so busy hours are expensive,
-    quiet hours are cheap, and the daily average equals the flat price.
+    ``pn_traffic`` is the (stations x slots) load matrix.  Its column
+    sums, added in station order, give the aggregate load, which is mapped
+    affinely onto [m_min, m_max]; the factor curve is rescaled to mean 1,
+    so busy hours are expensive, quiet hours are cheap, and the daily
+    average equals the flat price.
     """
     if fixed_price <= 0:
         raise ConfigError("fixed spectrum price must be positive")
-    aggregate = np.sum([ts.values for ts in pn_traffic], axis=0)
+    # a C-ordered matrix fixes numpy's summation order: row by row
+    aggregate = np.ascontiguousarray(pn_traffic, dtype=np.float64).sum(axis=0)
     span = aggregate.max() - aggregate.min()
     if span == 0:
         logger.warning("aggregate traffic is constant; spectrum price degenerates to flat")
@@ -277,10 +275,11 @@ def dynamic_spectrum_price(
 
 
 def _build_pricing(
-    pcfg: dict, traffic: Sequence[TrafficSeries], num_slots: int
-) -> PricingSeries:
-    """Per-slot prices from the validated ``pricing`` section (see the
-    module docstring), checking each pricing input once."""
+    pcfg: dict, traffic: np.ndarray, num_slots: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slot (electricity, spectrum) prices from the validated
+    ``pricing`` section (see the module docstring), checking each pricing
+    input once."""
     electricity = float(pcfg["fixed_electricity"])
     spectrum = float(pcfg["fixed_spectrum"])
     m_min, m_max = float(pcfg["spectrum_m_min"]), float(pcfg["spectrum_m_max"])
@@ -307,20 +306,14 @@ def _build_pricing(
     if policy == "fixed":
         if mult is not None and not np.all(mult == 1.0):
             raise ConfigError("fixed pricing requires all multipliers = 1")
-        return PricingSeries(
-            electricity=np.full(num_slots, electricity),
-            spectrum=np.full(num_slots, spectrum),
-        )
+        return np.full(num_slots, electricity), np.full(num_slots, spectrum)
     if policy != "dynamic":
         raise ConfigError(f"unknown pricing policy {policy!r}")
     if mult is None:
         mult = default_electricity_multipliers(num_slots)
     elif mult.size != num_slots:
         raise ConfigError(f"multiplier curve has {mult.size} slots, grid has {num_slots}")
-    return PricingSeries(
-        electricity=mult * electricity,
-        spectrum=dynamic_spectrum_price(traffic, spectrum, m_min, m_max),
-    )
+    return mult * electricity, dynamic_spectrum_price(traffic, spectrum, m_min, m_max)
 
 
 # --- config ---------------------------------------------------------------
@@ -483,23 +476,22 @@ def build_scenario(config: dict) -> Scenario:
 
     traffic = normalize_series(raw, tcfg["scale"])
 
-    pricing = _build_pricing(config["pricing"], traffic, grid.num_slots)
+    electricity, spectrum = _build_pricing(config["pricing"], traffic, grid.num_slots)
 
     dcfg = config["demand"]
-    sn_demand = sn_demand_from_pn(
-        traffic[1:], stations[1:], float(dcfg["beta"]), grid.num_slots
-    )
+    sn_demand = sn_demand_from_pn(traffic[1:], stations[1:], float(dcfg["beta"]))
     if dcfg["mode"] == "dt":
-        sn_demand = dt_shift(sn_demand, pricing.spectrum)
+        sn_demand = dt_shift(sn_demand, spectrum)
     elif dcfg["mode"] != "ndt":
         raise ConfigError(f"unknown demand mode {dcfg['mode']!r}")
 
     return Scenario(
         grid=grid,
         stations=stations,
-        traffic=tuple(traffic),
+        traffic=traffic,
         sn_demand=sn_demand,
-        pricing=pricing,
+        electricity=electricity,
+        spectrum=spectrum,
         offload_mode=OffloadMode(config["offload_mode"]),
         mbs_capacity_limit=float(config["mbs_capacity_limit"]),
         config=config,
@@ -529,16 +521,15 @@ def reference_config(
     pricing: str = "fixed", demand_mode: str = "ndt", seed: int = REFERENCE_SEED
 ) -> dict:
     """Config of the stock 12-SBS evaluation scenario (3 stations of each
-    small-cell class, synthetic diurnal traffic, beta = 0.7)."""
-    return validate_config(
-        {
-            "stations": [{"kind": "macro"}]
-            + [{"kind": kind} for kind in _REFERENCE_SBS_KINDS],
-            "traffic": {"seed": seed},
-            "demand": {"beta": 0.7, "mode": demand_mode},
-            "pricing": {"policy": pricing},
-        }
-    )
+    small-cell class, synthetic diurnal traffic, beta = 0.7), as a partial
+    document that ``build_scenario`` validates."""
+    return {
+        "stations": [{"kind": "macro"}]
+        + [{"kind": kind} for kind in _REFERENCE_SBS_KINDS],
+        "traffic": {"seed": seed},
+        "demand": {"beta": 0.7, "mode": demand_mode},
+        "pricing": {"policy": pricing},
+    }
 
 
 def reference_scenario(
@@ -567,7 +558,8 @@ def bench_config(n_sbs: int, seed: int = 7) -> dict:
     (macro peak 0.55, summed offload contributions below 0.44 in
     capacity-scaled mode): every one of the 2^N switch vectors is then
     feasible, which makes evaluation counts exact and lets both solvers
-    do full-price work on every visited state.
+    do full-price work on every visited state.  Like ``reference_config``
+    it returns a partial document that ``build_scenario`` validates.
     """
     if n_sbs < 1:
         raise ConfigError("benchmark needs at least one SBS")
@@ -580,13 +572,11 @@ def bench_config(n_sbs: int, seed: int = 7) -> dict:
     ]
     # tiny networks could get scale > 1; clamp keeps loads normalized
     scale = [min(s, 1.0) for s in scale]
-    return validate_config(
-        {
-            "stations": [{"kind": "macro"}] + [{"kind": kind} for kind in kinds],
-            "traffic": {"seed": seed, "scale": scale},
-            "offload_mode": "capacity_scaled",
-        }
-    )
+    return {
+        "stations": [{"kind": "macro"}] + [{"kind": kind} for kind in kinds],
+        "traffic": {"seed": seed, "scale": scale},
+        "offload_mode": "capacity_scaled",
+    }
 
 
 def bench_scenario(n_sbs: int, seed: int = 7) -> Scenario:

@@ -289,6 +289,7 @@ def sa_solve_slot(
     """
     if params is None:
         params = SaParams()
+    base, cap, contrib, weights = slot_problem(scenario, slot)
     n = scenario.num_sbs
     if n == 0:
         only = scenario.all_on()
@@ -296,7 +297,6 @@ def sa_solve_slot(
 
     rng = _slot_rng(params.rng_seed, slot)
     rnd = rng.random
-    base, cap, contrib, weights = slot_problem(scenario, slot)
 
     k = params.k_factor * n
     # the neighborhood of every step of a level, in order
@@ -503,13 +503,13 @@ def sorting_solve_slot(
     decision agrees with ``offloaded_mbs_load`` bit for bit.
     """
     n = scenario.num_sbs
+    base, cap, contrib, _ = slot_problem(scenario, slot)
     util = utility_vector(scenario, slot)
     # a stable sort, reversed or not, keeps tied SBSs in index order
     ranked = sorted(
         range(n), key=util.__getitem__, reverse=order is SortOrder.DESCENDING
     )
 
-    base, cap, contrib, _ = slot_problem(scenario, slot)
     # each of the two sums is off by at most one rounding (eps x scale) per
     # addition, and a prefix makes at most n of them
     rel = max(SA_GUARD_REL, n * sys.float_info.epsilon)

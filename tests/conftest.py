@@ -14,12 +14,10 @@ from hetlease import (
     BaseStation,
     BsKind,
     OffloadMode,
-    PricingSeries,
     SaParams,
     Scenario,
     SwitchVector,
     TimeGrid,
-    TrafficSeries,
     default_parameter_set,
     reference_scenario,
     reference_variants,
@@ -68,9 +66,10 @@ def build_tiny(
     return Scenario(
         grid=TimeGrid(horizon_min=n_slots * slot_min, slot_min=slot_min),
         stations=stations,
-        traffic=tuple(TrafficSeries(values=loads[:, i]) for i in range(n_stations)),
+        traffic=loads.T,
         sn_demand=demand,
-        pricing=PricingSeries(electricity=elec, spectrum=spectrum),
+        electricity=elec,
+        spectrum=spectrum,
         offload_mode=mode,
         mbs_capacity_limit=limit,
     )

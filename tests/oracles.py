@@ -74,11 +74,11 @@ def hetnet_power(scenario, slot: int, gamma) -> float:
 def energy_revenue(scenario, slot: int, gamma) -> float:
     saving = all_on_power(scenario, slot) - hetnet_power(scenario, slot, gamma)
     kwh = saving * scenario.grid.slot_min / 60000.0
-    return kwh * float(scenario.pricing.electricity[slot])
+    return kwh * float(scenario.electricity[slot])
 
 
 def leasing_revenue(scenario, slot: int, gamma) -> float:
-    price = float(scenario.pricing.spectrum[slot])
+    price = float(scenario.spectrum[slot])
     total = 0.0
     for j in range(1, scenario.num_sbs + 1):
         if not gamma[j]:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,11 +11,9 @@ from hetlease import (
     BsKind,
     ConfigError,
     OffloadMode,
-    PricingSeries,
     RevenueBreakdown,
     SwitchVector,
     TimeGrid,
-    TrafficSeries,
     bench_scenario,
     default_parameter_set,
     reference_scenario,
@@ -92,28 +91,67 @@ class TestTimeGrid:
 
 
 class TestSeries:
-    def test_traffic_range_enforced(self):
-        with pytest.raises(ConfigError):
-            TrafficSeries(values=[0.2, 1.2])
-        with pytest.raises(ConfigError):
-            TrafficSeries(values=[-0.1])
+    """``Scenario`` checks its traffic matrix and price vectors once."""
 
-    def test_traffic_readonly(self):
-        ts = TrafficSeries(values=[0.1, 0.2])
-        with pytest.raises(ValueError):
-            ts.values[0] = 0.9
+    def test_traffic_range_enforced(self):
+        with pytest.raises(ConfigError, match="traffic values outside"):
+            build_tiny([[0.2, 1.2]])
+        with pytest.raises(ConfigError, match="traffic values outside"):
+            build_tiny([[0.2, -0.1]])
+
+    @pytest.mark.parametrize("field", ["traffic", "electricity", "spectrum"])
+    def test_non_finite_rejected(self, field):
+        scn = build_tiny([[0.2, 0.3], [0.4, 0.5]])
+        bad = np.array(getattr(scn, field))
+        bad.flat[-1] = math.nan
+        with pytest.raises(ConfigError, match=f"{field} contains non-finite"):
+            dataclasses.replace(scn, **{field: bad})
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.full((3, 2), 0.2), np.full((2, 3), 0.2), np.full(2, 0.2)],
+        ids=["extra-station", "extra-slot", "not-a-matrix"],
+    )
+    def test_traffic_shape_enforced(self, value):
+        scn = build_tiny([[0.2, 0.3], [0.4, 0.5]])
+        with pytest.raises(ConfigError, match="traffic has shape"):
+            dataclasses.replace(scn, traffic=value)
 
     def test_pricing_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            PricingSeries(electricity=[0.1, 0.1], spectrum=[0.13])
+        scn = build_tiny([[0.2, 0.3], [0.4, 0.5]])
+        with pytest.raises(ConfigError, match=re.escape("electricity has shape (1,)")):
+            dataclasses.replace(scn, electricity=[0.1])
+        with pytest.raises(ConfigError, match=re.escape("spectrum has shape (1, 2)")):
+            dataclasses.replace(scn, spectrum=[[0.13, 0.13]])
 
     def test_pricing_rejects_negative(self):
-        with pytest.raises(ConfigError):
-            PricingSeries(electricity=[-0.1], spectrum=[0.13])
+        with pytest.raises(ConfigError, match="electricity values outside"):
+            build_tiny([[0.2, 0.3]], elec=-0.1)
+        with pytest.raises(ConfigError, match="spectrum values outside"):
+            build_tiny([[0.2, 0.3]], spectrum=-0.1)
+
+    def test_traffic_readonly(self):
+        loads = np.array([[0.1, 0.2], [0.3, 0.4]])
+        scn = build_tiny(loads)
+        with pytest.raises(ValueError):
+            scn.traffic[0, 0] = 0.9
+        # a copy, in (stations x slots) C order
+        loads[0, 0] = 0.9
+        assert scn.traffic.tolist() == [[0.1, 0.3], [0.2, 0.4]]
+        assert scn.traffic.flags.c_contiguous
+
+    def test_prices_and_demand_readonly(self):
+        scn = build_tiny([[0.1, 0.2]], demand=[7])
+        for field, dtype in (("sn_demand", np.int64), ("electricity", np.float64),
+                             ("spectrum", np.float64)):
+            values = getattr(scn, field)
+            assert values.dtype == dtype
+            with pytest.raises(ValueError):
+                values[0] = 0
 
     def test_pricing_allows_zero(self):
-        ps = PricingSeries(electricity=[0.0], spectrum=[0.0])
-        assert ps.electricity[0] == 0.0
+        scn = build_tiny([[0.2, 0.3]], elec=0.0, spectrum=0.0)
+        assert scn.electricity[0] == 0.0 and scn.spectrum[0] == 0.0
 
 
 def _naive_gamma(mask: int, n: int) -> tuple[bool, ...]:
@@ -240,6 +278,19 @@ class TestScenarioValidation:
         assert scn.load(1, 1) == pytest.approx(0.1)
         assert scn.demand(1, 0) == 7
 
+    @pytest.mark.parametrize("station, slot", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+    def test_load_rejects_index_out_of_range(self, station, slot):
+        # a negative index must not alias the last SBS or the last slot
+        scn = build_tiny([[0.3, 0.2], [0.4, 0.1]], demand=[7])
+        with pytest.raises(IndexError):
+            scn.load(station, slot)
+
+    @pytest.mark.parametrize("station, slot", [(0, 0), (-1, 0), (2, 0), (1, -1), (1, 2)])
+    def test_demand_rejects_index_out_of_range(self, station, slot):
+        scn = build_tiny([[0.3, 0.2], [0.4, 0.1]], demand=[7])
+        with pytest.raises(IndexError):
+            scn.demand(station, slot)
+
 
 def _with_sbs(n: int, mode: OffloadMode):
     """The reference network cut to n SBSs, or the benchmark one beyond 12."""
@@ -265,15 +316,15 @@ class TestScenarioTables:
             for bs in scn.stations[1:]
         ]
         for t in range(scn.num_slots):
-            loads = [float(ts.values[t]) for ts in scn.traffic]
+            loads = [float(x) for x in scn.traffic[:, t]]
             contrib = [loads[j + 1] * ratios[j] for j in range(n)]
             active = [bs.power(loads[i]) for i, bs in enumerate(scn.stations)]
             allon = active[0]
             for power in active[1:]:
                 allon += power
             factor = scn.grid.slot_min / 60000.0
-            elec = float(scn.pricing.electricity[t])
-            price = float(scn.pricing.spectrum[t])
+            elec = float(scn.electricity[t])
+            price = float(scn.spectrum[t])
             weights = [
                 (active[j + 1] - bs.p_sleep - contrib[j] * mbs.zeta * mbs.p_tx)
                 * factor * elec
@@ -293,5 +344,5 @@ class TestScenarioTables:
             assert scn._demands_by_slot[t] == tuple(
                 int(scn.sn_demand[j, t]) for j in range(n)
             )
-            assert scn._elec_by_slot[t].hex() == float(scn.pricing.electricity[t]).hex()
-            assert scn._spectrum_by_slot[t].hex() == float(scn.pricing.spectrum[t]).hex()
+            assert scn._elec_by_slot[t].hex() == float(scn.electricity[t]).hex()
+            assert scn._spectrum_by_slot[t].hex() == float(scn.spectrum[t]).hex()

@@ -9,7 +9,6 @@ from hetlease import (
     BsKind,
     ConfigError,
     CsvFormatError,
-    TrafficSeries,
     bench_config,
     bench_scenario,
     build_scenario,
@@ -130,46 +129,68 @@ class TestIngestCsv:
 class TestNormalize:
     def test_constant_series_becomes_all_ones(self):
         out = normalize_series(np.full((2, 5), 3.7))
-        for ts in out:
-            assert np.array_equal(ts.values, np.ones(5))
+        assert np.array_equal(out, np.ones((2, 5)))
 
     def test_peak_maps_to_one(self):
         out = normalize_series(np.array([[1.0, 4.0, 2.0]]))
-        assert np.array_equal(out[0].values, [0.25, 1.0, 0.5])
+        assert np.array_equal(out, [[0.25, 1.0, 0.5]])
 
     def test_all_zero_station_rejected(self):
-        with pytest.raises(ConfigError):
-            normalize_series(np.zeros((1, 4)))
+        with pytest.raises(ConfigError, match="station 1 has all-zero activity"):
+            normalize_series(np.array([[1.0, 2.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_activity_rejected(self, bad):
+        with pytest.raises(ConfigError, match="non-finite"):
+            normalize_series(np.array([[1.0, bad]]))
+
+    def test_matrix_is_bit_for_bit_each_row_over_its_peak_times_its_factor(self):
+        config = bench_config(8)
+        raw = synth_traffic(config["traffic"]["seed"], 144, 9)
+        factors = config["traffic"]["scale"]
+        out = normalize_series(raw, factors)
+        assert out.shape == raw.shape and out.flags.c_contiguous
+        for row, factor, got in zip(raw, factors, out):
+            assert got.tobytes() == ((row / row.max()) * factor).tobytes()
+        assert build_scenario(config).traffic.tobytes() == out.tobytes()
 
 
 class TestSnDemand:
     MICRO = default_parameter_set()[BsKind.MICRO]
 
     def test_zero_beta_zero_demand(self):
-        ts = TrafficSeries(values=[0.5, 1.0])
-        demand = sn_demand_from_pn([ts], [self.MICRO], beta=0.0)
+        demand = sn_demand_from_pn([[0.5, 1.0]], [self.MICRO], beta=0.0)
         assert np.array_equal(demand, np.zeros((1, 2), dtype=np.int64))
 
     def test_full_load_micro(self):
         # floor(0.7 * 1.0 * 50)
-        ts = TrafficSeries(values=[1.0])
-        demand = sn_demand_from_pn([ts], [self.MICRO], beta=0.7)
+        demand = sn_demand_from_pn([[1.0]], [self.MICRO], beta=0.7)
         assert demand[0, 0] == 35
 
     def test_never_exceeds_station_blocks(self):
         rng = np.random.default_rng(0)
-        ts = TrafficSeries(values=rng.uniform(0, 1, 100))
-        demand = sn_demand_from_pn([ts], [self.MICRO], beta=1.0)
+        demand = sn_demand_from_pn(rng.uniform(0, 1, (1, 100)), [self.MICRO], beta=1.0)
         assert demand.max() <= self.MICRO.rb_capacity
         assert demand.dtype == np.int64
 
+    def test_each_row_uses_its_own_station(self):
+        params = default_parameter_set()
+        stations = [params[BsKind.RRH], params[BsKind.FEMTO]]
+        traffic = np.array([[0.5, 1.0], [0.5, 1.0]])
+        demand = sn_demand_from_pn(traffic, stations, beta=0.7)
+        # floor(0.7 * load * 75) and floor(0.7 * load * 15)
+        assert demand.tolist() == [[26, 52], [5, 10]]
+
     def test_beta_out_of_range(self):
-        ts = TrafficSeries(values=[0.5])
         with pytest.raises(ConfigError):
-            sn_demand_from_pn([ts], [self.MICRO], beta=1.5)
+            sn_demand_from_pn([[0.5]], [self.MICRO], beta=1.5)
+
+    def test_one_row_per_sbs_required(self):
+        with pytest.raises(ConfigError, match="one traffic series per SBS"):
+            sn_demand_from_pn([[0.5], [0.5]], [self.MICRO], beta=0.7)
 
     def test_no_sbs_gives_an_empty_row_per_slot(self):
-        demand = sn_demand_from_pn([], [], beta=0.7, num_slots=144)
+        demand = sn_demand_from_pn(np.zeros((0, 144)), [], beta=0.7)
         assert demand.shape == (0, 144)
         assert demand.dtype == np.int64
 
@@ -208,7 +229,7 @@ class TestPricing:
     def test_dynamic_electricity_scales_the_flat_price(self):
         scn = reference_scenario(pricing="dynamic")
         expected = default_electricity_multipliers(144) * 0.1293
-        assert scn.pricing.electricity.tobytes() == expected.tobytes()
+        assert scn.electricity.tobytes() == expected.tobytes()
 
     def test_dynamic_spectrum_keeps_the_daily_mean(self):
         traffic = normalize_series(synth_traffic(1, 144, 4))
@@ -219,13 +240,13 @@ class TestPricing:
 
     def test_dynamic_spectrum_follows_traffic(self):
         traffic = normalize_series(synth_traffic(1, 144, 4))
-        aggregate = np.sum([ts.values for ts in traffic], axis=0)
+        aggregate = traffic.sum(axis=0)
         price = dynamic_spectrum_price(traffic, 0.13)
         assert int(np.argmax(price)) == int(np.argmax(aggregate))
         assert int(np.argmin(price)) == int(np.argmin(aggregate))
 
     def test_constant_traffic_warns_and_degenerates(self, caplog):
-        traffic = [TrafficSeries(values=np.full(6, 0.4))]
+        traffic = np.full((1, 6), 0.4)
         with caplog.at_level(logging.WARNING):
             price = dynamic_spectrum_price(traffic, 0.13)
         assert np.array_equal(price, np.full(6, 0.13))
@@ -236,9 +257,9 @@ class TestPricing:
             build_scenario(pricing_config("fixed", [1.0, 1.2]))
 
     def test_fixed_policy_prices_are_flat(self):
-        pricing = build_scenario(pricing_config("fixed")).pricing
-        assert np.array_equal(pricing.electricity, np.full(12, 0.1293))
-        assert np.array_equal(pricing.spectrum, np.full(12, 0.13))
+        scn = build_scenario(pricing_config("fixed"))
+        assert np.array_equal(scn.electricity, np.full(12, 0.1293))
+        assert np.array_equal(scn.spectrum, np.full(12, 0.13))
 
     def test_dynamic_policy_checks_profile_length(self):
         with pytest.raises(ConfigError, match="7 slots, grid has 12"):
@@ -306,24 +327,8 @@ class TestConfig:
             }
         )
         scn = build_scenario(config)
-        assert scn.traffic[0].values.max() == pytest.approx(0.5, rel=1e-12)
-        assert scn.traffic[1].values.max() == pytest.approx(1.0, rel=1e-12)
-
-    def test_scaled_traffic_builds_one_series_per_station(self, monkeypatch):
-        config = bench_config(8)
-        raw = synth_traffic(config["traffic"]["seed"], 144, 9)
-        built = []
-        post_init = TrafficSeries.__post_init__
-
-        def counted(self):
-            built.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(TrafficSeries, "__post_init__", counted)
-        scn = build_scenario(config)
-        assert len(built) == len(scn.stations) == 9
-        for row, factor, ts in zip(raw, config["traffic"]["scale"], scn.traffic):
-            assert np.array_equal(ts.values, (row / row.max()) * factor)
+        assert scn.traffic[0].max() == pytest.approx(0.5, rel=1e-12)
+        assert scn.traffic[1].max() == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize(
         "scale, message",
@@ -346,11 +351,10 @@ class TestConfig:
         save_config(config, path)
         rebuilt = build_scenario(load_config(path))
         original = build_scenario(config)
-        for a, b in zip(original.traffic, rebuilt.traffic):
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(original.traffic, rebuilt.traffic)
         assert np.array_equal(original.sn_demand, rebuilt.sn_demand)
-        assert np.array_equal(original.pricing.electricity, rebuilt.pricing.electricity)
-        assert np.array_equal(original.pricing.spectrum, rebuilt.pricing.spectrum)
+        assert np.array_equal(original.electricity, rebuilt.electricity)
+        assert np.array_equal(original.spectrum, rebuilt.spectrum)
 
     def test_scenario_remembers_its_config(self):
         scn = reference_scenario()
@@ -373,7 +377,7 @@ class TestConfig:
         path = tmp_path / "bench.yaml"
         save_config(config, path)
         monkeypatch.setattr(scenario_module, "_YAML_LOADER", getattr(yaml, loader))
-        assert load_config(path) == config
+        assert load_config(path) == validate_config(config)
         path.write_text("grid: {slot_min: [10,\n")
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(path)
@@ -392,12 +396,11 @@ class TestStockScenarios:
         assert set(variants) == {"fixed-ndt", "fixed-dt", "dynamic-ndt", "dynamic-dt"}
         base = variants["fixed-ndt"]
         for scn in variants.values():
-            for i in range(base.num_sbs + 1):
-                assert np.array_equal(scn.traffic[i].values, base.traffic[i].values)
+            assert np.array_equal(scn.traffic, base.traffic)
 
     def test_variants_differ_where_expected(self, variants):
         fixed, dynamic = variants["fixed-ndt"], variants["dynamic-ndt"]
-        assert not np.array_equal(fixed.pricing.spectrum, dynamic.pricing.spectrum)
+        assert not np.array_equal(fixed.spectrum, dynamic.spectrum)
         ndt, dt = variants["dynamic-ndt"], variants["dynamic-dt"]
         assert not np.array_equal(ndt.sn_demand, dt.sn_demand)
         assert np.array_equal(ndt.sn_demand.sum(axis=1), dt.sn_demand.sum(axis=1))
@@ -408,6 +411,23 @@ class TestStockScenarios:
             for mask in range(16):
                 switch = SwitchVector.from_off_mask(mask, 4)
                 assert offloaded_mbs_load(scn, slot, switch) <= scn.mbs_capacity_limit
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: bench_scenario(16), lambda: reference_scenario("dynamic", "dt")],
+        ids=["bench16", "reference-dynamic-dt"],
+    )
+    def test_stock_scenario_validates_its_config_once(self, monkeypatch, build):
+        calls = []
+        validate = scenario_module.validate_config
+
+        def counted(config):
+            calls.append(config)
+            return validate(config)
+
+        monkeypatch.setattr(scenario_module, "validate_config", counted)
+        build()
+        assert len(calls) == 1
 
     def test_bench_worst_case_stays_under_the_limit(self):
         scn = bench_scenario(16)

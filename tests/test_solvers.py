@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -869,6 +870,27 @@ class TestGreedyMatchesOracle:
         exact = ascending_load(base, loads, (1 << first[0]) | (1 << first[1]))
         assert {running, exact} == {limit, math.nextafter(limit, 2.0)}
         self.check(scn)
+
+
+SLOT_SOLVERS = {
+    "es": es_solve_slot,
+    "sa": sa_solve_slot,
+    "atype": lambda scn, t: sorting_solve_slot(scn, t, SortOrder.ASCENDING),
+    "dtype": lambda scn, t: sorting_solve_slot(scn, t, SortOrder.DESCENDING),
+}
+
+
+@pytest.mark.parametrize(
+    "loads", [[[0.3], [0.2]], [[0.3, 0.2, 0.4], [0.2, 0.1, 0.1]]], ids=["N0", "N2"]
+)
+@pytest.mark.parametrize("past_end", [False, True])
+@pytest.mark.parametrize("method", sorted(SLOT_SOLVERS))
+def test_slot_outside_the_day_is_rejected(method, past_end, loads):
+    # slot -1 must not alias the last slot, nor num_slots raise a bare lookup error
+    scn = build_tiny(loads)
+    slot = scn.num_slots if past_end else -1
+    with pytest.raises(IndexError, match=re.escape(f"slot {slot} outside range(2)")):
+        SLOT_SOLVERS[method](scn, slot)
 
 
 class TestSolveDay:
