@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .feasibility import offloaded_mbs_load
+from .feasibility import _ascending_sum, offloaded_mbs_load
 from .model import (
     WATT_MIN_PER_KWH,
     InfeasibleSwitchError,
@@ -31,7 +31,17 @@ def energy_factor(scenario: Scenario) -> float:
 
 def all_on_power_slot(scenario: Scenario, slot: int) -> float:
     """Network power draw in watts with every station serving its own load."""
+    scenario._check_slot(slot)
     return scenario._allon_power_by_slot[slot]
+
+
+def _network_power(scenario: Scenario, slot: int, load: float, off_bits: str) -> float:
+    """Macro draw at ``load`` plus each SBS's sleep or active draw, ascending."""
+    total = scenario.stations[0].power(load)
+    sleep, active = scenario._sleep_powers, scenario._active_power_by_slot[slot]
+    for j, bit in enumerate(off_bits, start=1):
+        total += sleep[j] if bit == "1" else active[j]
+    return total
 
 
 def hetnet_power_slot(scenario: Scenario, slot: int, switch: SwitchVector) -> float:
@@ -41,17 +51,10 @@ def hetnet_power_slot(scenario: Scenario, slot: int, switch: SwitchVector) -> fl
     power.  Raises InfeasibleSwitchError if the offloaded macro load
     exceeds 1, where the hardware power model stops being defined.
     """
-    mbs_load = offloaded_mbs_load(scenario, slot, switch)
-    if mbs_load > 1.0:
-        raise InfeasibleSwitchError(
-            f"offloaded macro load {mbs_load} exceeds 1 in slot {slot}"
-        )
-    active = scenario._active_power_by_slot[slot]
-    sleep = scenario._sleep_powers
-    total = scenario.stations[0].power(mbs_load)
-    for j, bit in enumerate(_off_bits(switch.mask, switch.num_sbs), start=1):
-        total += sleep[j] if bit == "1" else active[j]
-    return total
+    load = offloaded_mbs_load(scenario, slot, switch)
+    if load > 1.0:
+        raise InfeasibleSwitchError(f"offloaded macro load {load} exceeds 1 in slot {slot}")
+    return _network_power(scenario, slot, load, _off_bits(switch.mask, switch.num_sbs))
 
 
 def power_saving_slot(scenario: Scenario, slot: int, switch: SwitchVector) -> float:
@@ -59,21 +62,26 @@ def power_saving_slot(scenario: Scenario, slot: int, switch: SwitchVector) -> fl
     return all_on_power_slot(scenario, slot) - hetnet_power_slot(scenario, slot, switch)
 
 
+def _energy_revenue(scenario: Scenario, slot: int, power: float) -> float:
+    """The electricity cost of the watts ``power`` saves against all-on."""
+    saving = scenario._allon_power_by_slot[slot] - power
+    return saving * energy_factor(scenario) * scenario._elec_by_slot[slot]
+
+
 def energy_revenue_slot(scenario: Scenario, slot: int, switch: SwitchVector) -> float:
     """Electricity cost avoided in this slot, in currency units."""
-    saving = power_saving_slot(scenario, slot, switch)
-    return saving * energy_factor(scenario) * scenario._elec_by_slot[slot]
+    return _energy_revenue(scenario, slot, hetnet_power_slot(scenario, slot, switch))
+
+
+def _leasing_terms(scenario: Scenario, slot: int) -> list[float]:
+    """Leasing income of each SBS when off: its demand x the RB price."""
+    price = scenario._spectrum_by_slot[slot]
+    return [demand * price for demand in scenario._demands_by_slot[slot]]
 
 
 def leasing_revenue_slot(scenario: Scenario, slot: int, switch: SwitchVector) -> float:
     """Income from leasing the resource blocks of every off SBS."""
-    price = scenario._spectrum_by_slot[slot]
-    demands = scenario._demands_by_slot[slot]
-    revenue = 0.0
-    for bit, demand in zip(bin(switch.mask)[:1:-1], demands):
-        if bit == "1":
-            revenue += demand * price
-    return revenue
+    return _ascending_sum(switch.mask, 0.0, _leasing_terms(scenario, slot))
 
 
 def total_revenue_slot(
@@ -100,6 +108,7 @@ def sbs_off_weights(scenario: Scenario, slot: int) -> list[float]:
     ``p_tx``, ``energy_factor`` and the slot's prices; the scenario builds
     the table once, in that arithmetic order.
     """
+    scenario._check_slot(slot)
     return scenario._weights_by_slot[slot].tolist()
 
 
@@ -122,11 +131,9 @@ def slot_problem(scenario: Scenario, slot: int) -> SlotProblem:
     """The knapsack row of one slot, read from the scenario's tables.
 
     Every slot solver reads its row here first, so a slot outside
-    ``range(num_slots)`` raises IndexError before any table is read (a
-    negative index would otherwise read a slot from the end of the day).
+    ``range(num_slots)`` raises IndexError before any table is read.
     """
-    if not 0 <= slot < scenario.num_slots:
-        raise IndexError(f"slot {slot} outside range({scenario.num_slots})")
+    scenario._check_slot(slot)
     return SlotProblem(
         base=scenario._loads_by_slot[slot][0],
         cap=scenario.mbs_capacity_limit,

@@ -31,7 +31,20 @@ class OffloadReport:
 
     @property
     def conserved(self) -> bool:
-        return abs(self.demand_before - self.demand_after) <= CONSERVATION_TOL
+        return _conserved(self.demand_before, self.demand_after)
+
+
+def _conserved(before: float, after: float) -> bool:
+    """The conservation identity: load served equals load offered."""
+    return abs(before - after) <= CONSERVATION_TOL
+
+
+def _demand_after(loads: Sequence[float], off_bits: str) -> float:
+    """Load served under ``off_bits``: macro + fsum(offloaded SBSs) + fsum(active)."""
+    offloaded, active = [], []
+    for bit, load in zip(off_bits, loads[1:]):
+        (offloaded if bit == "1" else active).append(load)
+    return (loads[0] + math.fsum(offloaded)) + math.fsum(active)
 
 
 def _ascending_sum(mask: int, start: float, terms: Sequence[float]) -> float:
@@ -70,18 +83,10 @@ def is_feasible(scenario: Scenario, slot: int, switch: SwitchVector) -> OffloadR
 
     loads = scenario._loads_by_slot[slot]
     demand_before = math.fsum(loads)
-    # served = macro's own users + offloaded SBS users + active SBS users
-    offloaded, active = [], []
-    for bit, load in zip(_off_bits(switch.mask, switch.num_sbs), loads[1:]):
-        (offloaded if bit == "1" else active).append(load)
-    demand_after = (loads[0] + math.fsum(offloaded)) + math.fsum(active)
-
-    feasible = (
-        after_load <= scenario.mbs_capacity_limit
-        and abs(demand_before - demand_after) <= CONSERVATION_TOL
-    )
+    demand_after = _demand_after(loads, _off_bits(switch.mask, switch.num_sbs))
+    fits = after_load <= scenario.mbs_capacity_limit
     return OffloadReport(
-        feasible=feasible,
+        feasible=fits and _conserved(demand_before, demand_after),
         mbs_load_after=after_load,
         demand_before=demand_before,
         demand_after=demand_after,

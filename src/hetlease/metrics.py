@@ -29,6 +29,7 @@ def network_throughput(scenario: Scenario, slot: int, switch: SwitchVector) -> f
     ``is_feasible``'s compensated ``demand_before``, bit-identical for
     every feasible switch.
     """
+    scenario._check_slot(slot)
     report = is_feasible(scenario, slot, switch)
     if not report.feasible:
         raise InfeasibleSwitchError(

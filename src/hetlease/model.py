@@ -402,6 +402,11 @@ class Scenario:
     def all_on(self) -> SwitchVector:
         return SwitchVector.all_on(self.num_sbs)
 
+    def _check_slot(self, slot: int) -> None:
+        """Reject a slot outside the day, which a table would alias or miss."""
+        if not 0 <= slot < self.num_slots:
+            raise IndexError(f"slot {slot} outside range({self.num_slots})")
+
 
 @dataclass
 class SolverResult:

@@ -28,8 +28,10 @@ import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .economics import slot_problem, total_revenue_slot
-from .feasibility import OffloadReport, _ascending_sum, is_feasible
+from .economics import _energy_revenue, _leasing_terms, _network_power, slot_problem
+from .economics import total_revenue_slot
+from .feasibility import OffloadReport, _ascending_sum, _conserved, _demand_after
+from .feasibility import is_feasible
 from .model import (
     EnumerationCapError,
     InfeasibleSwitchError,
@@ -441,12 +443,12 @@ def es_solve_slot(
     """Enumerate every switch vector and return the feasible revenue maximizer.
 
     Every one of the 2^N masks is visited and counted as one evaluation,
-    infeasible ones included.  Each mask's macro load is read from
-    ``_ascending_sums``, the same double ``offloaded_mbs_load`` gives, so a
-    mask over the capacity limit, which fails the first test of
-    ``is_feasible``, is rejected there.  Every other mask goes through the
-    canonical feasibility check and objective.  Ties are broken toward
-    fewer SBSs off, then the lower off-bitmask value.
+    infeasible ones included.  ``_ascending_sums`` tables give each mask's
+    macro load and leasing income, and a mask over capacity stops there.  The
+    rest run the conservation test, power walk and energy pricing through the
+    helpers of ``is_feasible`` and ``energy_revenue_slot``, so verdicts and
+    totals are canonical bit for bit.  Ties go to fewer SBSs off, then the
+    lower mask.  Only the winner goes through ``total_revenue_slot``.
     """
     n = scenario.num_sbs
     if n > ES_MAX_SBS:
@@ -454,28 +456,31 @@ def es_solve_slot(
             f"{n} SBSs means 2^{n} states; enumeration is capped at {ES_MAX_SBS} SBSs"
         )
     base, cap, contrib, _ = slot_problem(scenario, slot)
-    best_switch = None
-    best_revenue = None
+    loads = scenario._loads_by_slot[slot].tolist()  # a list iterates faster
+    offered = math.fsum(loads)
+    leases = _ascending_sums(n, 0.0, _leasing_terms(scenario, slot))
     best_key = None
-    for mask, load in enumerate(_ascending_sums(n, base, contrib)):
+    for mask, (load, lease) in enumerate(zip(_ascending_sums(n, base, contrib), leases)):
         if load > cap:
             continue
-        switch = SwitchVector.from_off_mask(mask, n)
-        if not is_feasible(scenario, slot, switch).feasible:
+        bits = _off_bits(mask, n)
+        if not _conserved(offered, _demand_after(loads, bits)):
             continue
-        revenue = total_revenue_slot(scenario, slot, switch)
-        key = (-revenue.total, mask.bit_count(), mask)
+        power = _network_power(scenario, slot, load, bits)
+        total = _energy_revenue(scenario, slot, power) + lease
+        key = (-total, mask.bit_count(), mask)
         if best_key is None or key < best_key:
-            best_switch, best_revenue, best_key = switch, revenue, key
-    # mask 0 (all-on) is always feasible, so a maximizer always exists
-    assert best_switch is not None and best_revenue is not None
-    return best_switch, best_revenue, 1 << n
+            best_key = key
+    assert best_key is not None, "all-on (mask 0) always fits"
+    switch = SwitchVector.from_off_mask(best_key[2], n)
+    return switch, total_revenue_slot(scenario, slot, switch), 1 << n
 
 
 def utility_vector(scenario: Scenario, slot: int) -> list[float]:
     """Per-SBS ranking score: leasable demand (as a fraction of the SBS's
     own resource blocks) minus its traffic load.  High scores mark cells
     that are cheap to offload and lucrative to lease."""
+    scenario._check_slot(slot)
     loads = scenario._loads_by_slot[slot]
     demands = scenario._demands_by_slot[slot]
     return [

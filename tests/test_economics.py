@@ -8,6 +8,7 @@ from hetlease import (
     InfeasibleSwitchError,
     SwitchVector,
     all_on_power_slot,
+    build_scenario,
     daily_revenue,
     energy_factor,
     energy_revenue_slot,
@@ -99,6 +100,30 @@ class TestLeasingRevenue:
     def test_active_stations_lease_nothing(self):
         scn = build_tiny([[0.0, 0.0]], demand=[10])
         assert leasing_revenue_slot(scn, 0, scn.all_on()) == 0.0
+
+    @pytest.mark.parametrize("n", [12, 64, 128])
+    def test_terms_added_in_ascending_order(self, n):
+        # exhaustive search tables these sums, so each must be the
+        # ascending walk from 0.0, bit for bit
+        kinds = ["rrh", "micro", "pico", "femto"]
+        config = {
+            "stations": [{"kind": "macro"}] + [{"kind": kinds[j % 4]} for j in range(n)],
+            "traffic": {"seed": n, "scale": [0.5] + [1.0] * n},
+            "pricing": {"policy": "dynamic"},
+        }
+        scn = build_scenario(config)
+        assert (scn.sn_demand > 0).mean() > 0.5
+        rng = random.Random(n)
+        for _ in range(50):
+            slot = rng.randrange(scn.num_slots)
+            mask = rng.getrandbits(n)
+            price = float(scn.spectrum[slot])
+            walk = 0.0
+            for j in range(1, n + 1):
+                if mask >> (j - 1) & 1:
+                    walk += scn.demand(j, slot) * price
+            switch = SwitchVector.from_off_mask(mask, n)
+            assert leasing_revenue_slot(scn, slot, switch).hex() == walk.hex()
 
 
 class TestTotalRevenue:

@@ -17,15 +17,21 @@ from hetlease import (
     SlotProblem,
     SortOrder,
     SwitchVector,
+    all_on_power_slot,
     bench_config,
     bench_scenario,
     build_scenario,
+    energy_revenue_slot,
     es_solve_slot,
     is_feasible,
+    leasing_revenue_slot,
     metropolis_accept,
+    network_throughput,
     offloaded_mbs_load,
+    reference_config,
     reference_scenario,
     sa_solve_slot,
+    sbs_off_weights,
     slot_problem,
     solve_day,
     sorting_solve_slot,
@@ -33,6 +39,8 @@ from hetlease import (
     utility_vector,
 )
 
+import hetlease.economics
+import hetlease.feasibility
 from hetlease import solvers
 
 import oracles
@@ -666,6 +674,127 @@ class TestEsMatchesOracle:
         assert self.check(scn) == scn.all_on()
 
 
+def canonical_es(scn, slot):
+    """Exhaustive search with every mask judged by the canonical functions:
+    each one goes through ``is_feasible``, and each feasible one through
+    ``total_revenue_slot``, ranked by the key ``es_solve_slot`` uses."""
+    n = scn.num_sbs
+    best = None
+    for mask in range(1 << n):
+        switch = SwitchVector.from_off_mask(mask, n)
+        if not is_feasible(scn, slot, switch).feasible:
+            continue
+        revenue = total_revenue_slot(scn, slot, switch)
+        key = (-revenue.total, mask.bit_count(), mask)
+        if best is None or key < best[0]:
+            best = key, switch, revenue
+    return best[1], best[2], 1 << n
+
+
+def es_record(switch, revenue, evaluations):
+    return (
+        switch.off_mask(),
+        evaluations,
+        revenue.energy.hex(),
+        revenue.leasing.hex(),
+        revenue.total.hex(),
+    )
+
+
+class TestEsMatchesCanonicalLoop:
+    @staticmethod
+    def check(scn, slot=0):
+        got = es_record(*es_solve_slot(scn, slot))
+        assert got == es_record(*canonical_es(scn, slot))
+        return got[0]
+
+    @pytest.mark.parametrize("seed", [23, 61])
+    def test_random_tiny_instances(self, seed):
+        instances = random_greedy_instances(200, seed=seed)
+        for scn in instances:
+            self.check(scn)
+        assert 0 in {scn.num_sbs for scn in instances}
+
+    @pytest.mark.parametrize("base,loads,boundary,near", GUARD_CASES)
+    def test_mask_at_capacity_and_one_ulp_above(self, base, loads, boundary, near):
+        limit = ascending_load(base, loads, boundary)
+        over = ascending_load(base, loads, near)
+        demand = [30 if near >> j & 1 else 1 for j in range(len(loads))]
+        roomy = build_tiny([[base] + loads], demand=demand, limit=over)
+        assert self.check(roomy) == near
+        scn = build_tiny([[base] + loads], demand=demand, limit=limit)
+        assert self.check(scn) != near
+
+    def test_zero_prices_tie_break_to_all_on(self):
+        scn = build_tiny(
+            [[0.1, 0.1, 0.1], [0.2, 0.3, 0.0]], demand=[5, 7], elec=0.0, spectrum=0.0
+        )
+        assert [self.check(scn, t) for t in range(2)] == [0, 0]
+
+    @pytest.mark.parametrize("slot", [0, 66, 84, 108])
+    def test_capacity_scaled_offload_and_dynamic_pricing(self, slot):
+        config = reference_config("dynamic", "dt")
+        config["offload_mode"] = "capacity_scaled"
+        self.check(build_scenario(config), slot)
+
+    @pytest.mark.parametrize("slot", [78, 96])
+    def test_tight_slots_of_the_block_path(self, slot):
+        # N = 14 > _ES_BLOCK_BITS, so both tables are built in blocks
+        self.check(tight_bench_scenario(14, 0.56), slot)
+
+
+@pytest.mark.parametrize("name,slot", [("ref", 0), ("ref", 66), ("tight14", 78)])
+def test_es_prices_each_fitting_mask_as_the_canonical_objective(monkeypatch, name, slot):
+    # the winner alone goes through total_revenue_slot, so a mask priced a few
+    # ulps off would only show in a near-tie; check every mask's figures
+    scn = reference_scenario() if name == "ref" else tight_bench_scenario(14, 0.56)
+    n = scn.num_sbs
+    energies = []
+    real = solvers._energy_revenue
+
+    def recording(*args):
+        energies.append(real(*args))
+        return energies[-1]
+
+    monkeypatch.setattr(solvers, "_energy_revenue", recording)
+    es_solve_slot(scn, slot)
+    switches = [SwitchVector.from_off_mask(m, n) for m in range(1 << n)]
+    feasible = [sw for sw in switches if is_feasible(scn, slot, sw).feasible]
+    assert [e.hex() for e in energies] == [
+        energy_revenue_slot(scn, slot, sw).hex() for sw in feasible
+    ]
+    terms = hetlease.economics._leasing_terms(scn, slot)
+    leases = list(solvers._ascending_sums(n, 0.0, terms))
+    assert [x.hex() for x in leases] == [
+        leasing_revenue_slot(scn, slot, sw).hex() for sw in switches
+    ]
+
+
+def test_es_judges_masks_without_the_canonical_calls(monkeypatch):
+    # only the winner goes through the canonical objective, and every other
+    # mask's macro load is read from the table, not summed again
+    calls = collections.Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(hetlease.feasibility, "offloaded_mbs_load")
+    counting(hetlease.economics, "offloaded_mbs_load")
+    counting(solvers, "is_feasible")
+    counting(solvers, "total_revenue_slot")
+    scn = reference_scenario()
+    es_solve_slot(scn, 0)
+    assert calls["offloaded_mbs_load"] <= 1
+    assert calls["is_feasible"] == 0
+    assert calls["total_revenue_slot"] == 1
+
+
 # (variant, slot, off mask, evaluations, revenue.total.hex()) recorded from
 # an exhaustive search that sent every mask through the canonical check;
 # quiet hours (slots 0, 24, 132) let most masks fit, at busy hours
@@ -880,17 +1009,26 @@ SLOT_SOLVERS = {
 }
 
 
+# the public per-slot readers, which check the slot the way the solvers do
+SLOT_READERS = {
+    "utility_vector": utility_vector,
+    "sbs_off_weights": sbs_off_weights,
+    "all_on_power_slot": all_on_power_slot,
+    "network_throughput": lambda scn, t: network_throughput(scn, t, scn.all_on()),
+}
+
+
 @pytest.mark.parametrize(
     "loads", [[[0.3], [0.2]], [[0.3, 0.2, 0.4], [0.2, 0.1, 0.1]]], ids=["N0", "N2"]
 )
 @pytest.mark.parametrize("past_end", [False, True])
-@pytest.mark.parametrize("method", sorted(SLOT_SOLVERS))
+@pytest.mark.parametrize("method", sorted(SLOT_SOLVERS) + sorted(SLOT_READERS))
 def test_slot_outside_the_day_is_rejected(method, past_end, loads):
     # slot -1 must not alias the last slot, nor num_slots raise a bare lookup error
     scn = build_tiny(loads)
     slot = scn.num_slots if past_end else -1
     with pytest.raises(IndexError, match=re.escape(f"slot {slot} outside range(2)")):
-        SLOT_SOLVERS[method](scn, slot)
+        {**SLOT_SOLVERS, **SLOT_READERS}[method](scn, slot)
 
 
 class TestSolveDay:
