@@ -15,11 +15,13 @@ from typing import NamedTuple
 from .feasibility import _ascending_sum, offloaded_mbs_load
 from .model import (
     WATT_MIN_PER_KWH,
+    BaseStation,
     InfeasibleSwitchError,
     RevenueBreakdown,
     Scenario,
     SwitchVector,
     _off_bits,
+    _Slot,
     daily_breakdown,
 )
 
@@ -31,15 +33,15 @@ def energy_factor(scenario: Scenario) -> float:
 
 def all_on_power_slot(scenario: Scenario, slot: int) -> float:
     """Network power draw in watts with every station serving its own load."""
-    scenario._check_slot(slot)
-    return scenario._allon_power_by_slot[slot]
+    return scenario._slot(slot).allon
 
 
-def _network_power(scenario: Scenario, slot: int, load: float, off_bits: str) -> float:
-    """Macro draw at ``load`` plus each SBS's sleep or active draw, ascending."""
-    total = scenario.stations[0].power(load)
-    sleep, active = scenario._sleep_powers, scenario._active_power_by_slot[slot]
-    for j, bit in enumerate(off_bits, start=1):
+def _network_power(mbs: BaseStation, record: _Slot, load: float, bits: str) -> float:
+    """Macro ``mbs``'s draw at ``load`` plus each SBS's sleep or active
+    draw, ascending, with ``bits`` the off bits of ``_off_bits``."""
+    total = mbs.power(load)
+    sleep, active = record.sleep, record.active
+    for j, bit in enumerate(bits, start=1):
         total += sleep[j] if bit == "1" else active[j]
     return total
 
@@ -54,7 +56,8 @@ def hetnet_power_slot(scenario: Scenario, slot: int, switch: SwitchVector) -> fl
     load = offloaded_mbs_load(scenario, slot, switch)
     if load > 1.0:
         raise InfeasibleSwitchError(f"offloaded macro load {load} exceeds 1 in slot {slot}")
-    return _network_power(scenario, slot, load, _off_bits(switch.mask, switch.num_sbs))
+    bits = _off_bits(switch.mask, switch.num_sbs)
+    return _network_power(scenario.stations[0], scenario._slot(slot), load, bits)
 
 
 def power_saving_slot(scenario: Scenario, slot: int, switch: SwitchVector) -> float:
@@ -62,33 +65,29 @@ def power_saving_slot(scenario: Scenario, slot: int, switch: SwitchVector) -> fl
     return all_on_power_slot(scenario, slot) - hetnet_power_slot(scenario, slot, switch)
 
 
-def _energy_revenue(scenario: Scenario, slot: int, power: float) -> float:
-    """The electricity cost of the watts ``power`` saves against all-on."""
-    saving = scenario._allon_power_by_slot[slot] - power
-    return saving * energy_factor(scenario) * scenario._elec_by_slot[slot]
+def _energy_revenue(record: _Slot, factor: float, power: float) -> float:
+    """The electricity cost of the watts ``power`` saves against all-on,
+    with ``factor`` the scenario's ``energy_factor``."""
+    return (record.allon - power) * factor * record.elec
 
 
 def energy_revenue_slot(scenario: Scenario, slot: int, switch: SwitchVector) -> float:
     """Electricity cost avoided in this slot, in currency units."""
-    return _energy_revenue(scenario, slot, hetnet_power_slot(scenario, slot, switch))
-
-
-def _leasing_terms(scenario: Scenario, slot: int) -> list[float]:
-    """Leasing income of each SBS when off: its demand x the RB price."""
-    price = scenario._spectrum_by_slot[slot]
-    return [demand * price for demand in scenario._demands_by_slot[slot]]
+    power = hetnet_power_slot(scenario, slot, switch)
+    return _energy_revenue(scenario._slot(slot), energy_factor(scenario), power)
 
 
 def leasing_revenue_slot(scenario: Scenario, slot: int, switch: SwitchVector) -> float:
-    """Income from leasing the resource blocks of every off SBS."""
-    return _ascending_sum(switch.mask, 0.0, _leasing_terms(scenario, slot))
+    """Income from leasing the resource blocks of every off SBS: each one's
+    demand x the RB price, added in ascending station order."""
+    return _ascending_sum(switch.mask, 0.0, scenario._slot(slot, switch).lease)
 
 
 def total_revenue_slot(
     scenario: Scenario, slot: int, switch: SwitchVector
 ) -> RevenueBreakdown:
     """Canonical per-slot objective; every solver reports through this."""
-    return RevenueBreakdown.of(
+    return RevenueBreakdown(
         energy_revenue_slot(scenario, slot, switch),
         leasing_revenue_slot(scenario, slot, switch),
     )
@@ -106,10 +105,9 @@ def sbs_off_weights(scenario: Scenario, slot: int) -> list[float]:
     Weight j is ``(active - sleep - contrib * zeta * p_tx) * factor * elec
     + demand * rb_price`` for SBS j+1, with the macro's ``zeta`` and
     ``p_tx``, ``energy_factor`` and the slot's prices; the scenario builds
-    the table once, in that arithmetic order.
+    each slot's row once, in that arithmetic order.
     """
-    scenario._check_slot(slot)
-    return scenario._weights_by_slot[slot].tolist()
+    return scenario._slot(slot).weights.tolist()
 
 
 class SlotProblem(NamedTuple):
@@ -128,17 +126,13 @@ class SlotProblem(NamedTuple):
 
 
 def slot_problem(scenario: Scenario, slot: int) -> SlotProblem:
-    """The knapsack row of one slot, read from the scenario's tables.
-
-    Every slot solver reads its row here first, so a slot outside
-    ``range(num_slots)`` raises IndexError before any table is read.
-    """
-    scenario._check_slot(slot)
+    """The knapsack row of one slot, read from the scenario's slot record."""
+    record = scenario._slot(slot)
     return SlotProblem(
-        base=scenario._loads_by_slot[slot][0],
+        base=record.loads[0],
         cap=scenario.mbs_capacity_limit,
-        contrib=scenario._contrib_by_slot[slot].tolist(),
-        weights=sbs_off_weights(scenario, slot),
+        contrib=record.contrib.tolist(),
+        weights=record.weights.tolist(),
     )
 
 

@@ -63,13 +63,8 @@ def offloaded_mbs_load(scenario: Scenario, slot: int, switch: SwitchVector) -> f
     """Macro-cell load in ``slot`` after absorbing every off SBS: the
     macro's own load plus each off SBS's contribution, summed by
     ``_ascending_sum``, so feasibility and revenue agree bit for bit."""
-    if switch.num_sbs != scenario.num_sbs:
-        raise ValueError(
-            f"switch vector covers {switch.num_sbs} SBSs, scenario has {scenario.num_sbs}"
-        )
-    return _ascending_sum(
-        switch.mask, scenario._loads_by_slot[slot][0], scenario._contrib_by_slot[slot]
-    )
+    record = scenario._slot(slot, switch)
+    return _ascending_sum(switch.mask, record.loads[0], record.contrib)
 
 
 def is_feasible(scenario: Scenario, slot: int, switch: SwitchVector) -> OffloadReport:
@@ -80,8 +75,7 @@ def is_feasible(scenario: Scenario, slot: int, switch: SwitchVector) -> OffloadR
     re-association regardless of offload mode.
     """
     after_load = offloaded_mbs_load(scenario, slot, switch)
-
-    loads = scenario._loads_by_slot[slot]
+    loads = scenario._slot(slot).loads
     demand_before = math.fsum(loads)
     demand_after = _demand_after(loads, _off_bits(switch.mask, switch.num_sbs))
     fits = after_load <= scenario.mbs_capacity_limit

@@ -29,7 +29,6 @@ def network_throughput(scenario: Scenario, slot: int, switch: SwitchVector) -> f
     ``is_feasible``'s compensated ``demand_before``, bit-identical for
     every feasible switch.
     """
-    scenario._check_slot(slot)
     report = is_feasible(scenario, slot, switch)
     if not report.feasible:
         raise InfeasibleSwitchError(
@@ -39,21 +38,19 @@ def network_throughput(scenario: Scenario, slot: int, switch: SwitchVector) -> f
 
 
 def throughput_invariance_report(
-    variants: Mapping[str, Scenario] | Sequence[Scenario],
+    variants: Mapping[str, Scenario],
     method: Method | str,
     params: SaParams | None = None,
 ) -> tuple[bool, list[dict]]:
     """Check that per-slot throughput is identical across scenario variants.
 
-    The variants must share primary-network traffic (they may differ in
-    prices and secondary demand).  Each variant is solved with the given
-    method; the report lists per-slot throughput per variant and whether
-    all values in the row match exactly.
+    ``variants`` maps a name to each scenario.  The variants must share
+    primary-network traffic (they may differ in prices and secondary
+    demand).  Each variant is solved with the given method; the report
+    lists per-slot throughput per variant, under its name, and whether all
+    values in the row match exactly.
     """
-    if isinstance(variants, Mapping):
-        named = list(variants.items())
-    else:
-        named = [(f"variant{i}", scn) for i, scn in enumerate(variants)]
+    named = list(variants.items())
     if len(named) < 2:
         raise ValueError("need at least two variants to compare")
     first = named[0][1]

@@ -14,7 +14,8 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -197,10 +198,6 @@ class SwitchVector:
         return self.mask
 
     @classmethod
-    def all_on(cls, num_sbs: int) -> "SwitchVector":
-        return cls(0, num_sbs)
-
-    @classmethod
     def from_off_mask(cls, mask: int, num_sbs: int) -> "SwitchVector":
         """Build a vector from an SBS off-bitmask (bit j -> SBS j+1 off)."""
         return cls(mask, num_sbs)
@@ -229,27 +226,31 @@ class RevenueBreakdown:
 
     ``energy`` is the electricity cost avoided by switching (can be
     negative when offloading raises total draw), ``leasing`` is income
-    from renting off-cell spectrum, and ``total`` is their exact sum.
+    from renting off-cell spectrum, and ``total`` is their sum.
     """
 
     energy: float
     leasing: float
-    total: float
 
-    def __post_init__(self):
-        if self.total != self.energy + self.leasing:
-            raise ValueError(
-                "total must equal energy + leasing exactly; "
-                "construct via RevenueBreakdown.of()"
-            )
+    @property
+    def total(self) -> float:
+        return self.energy + self.leasing
 
-    @classmethod
-    def of(cls, energy: float, leasing: float) -> "RevenueBreakdown":
-        return cls(energy=energy, leasing=leasing, total=energy + leasing)
 
-    @classmethod
-    def zero(cls) -> "RevenueBreakdown":
-        return cls.of(0.0, 0.0)
+class _Slot(NamedTuple):
+    """One slot of a scenario, as every per-slot reader sees it
+    (``Scenario._slot``).  Station rows are macro first; SBS rows hold
+    entry j for SBS j+1."""
+
+    loads: array              # normalized load per station
+    contrib: array            # macro-load increment per sleeping SBS
+    active: array             # active power draw per station, W
+    sleep: tuple              # sleep draw per station (None for the macro), W
+    allon: float              # network draw with every station on, W
+    elec: float               # electricity price, currency/kWh
+    lease: array              # leasing income per sleeping SBS: demand x RB price
+    weights: array            # revenue per sleeping SBS (``sbs_off_weights``)
+    demands: list[int]        # secondary-network RB demand per SBS
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,12 +296,12 @@ class Scenario:
             values = np.array(getattr(self, name), dtype=np.float64, order="C")
             if values.shape != shape:
                 raise ConfigError(f"{name} has shape {values.shape}, expected {shape}")
-            if not np.isfinite(values).all():
+            low, peak = values.min(), values.max()  # NaN propagates to both
+            if not (math.isfinite(low) and math.isfinite(peak)):
                 raise ConfigError(f"{name} contains non-finite values")
-            if values.min() < 0.0 or values.max() > high:
+            if low < 0.0 or peak > high:
                 raise ConfigError(
-                    f"{name} values outside [0, {high}]: "
-                    f"min {values.min()}, max {values.max()}"
+                    f"{name} values outside [0, {high}]: min {low}, max {peak}"
                 )
             values.setflags(write=False)
             object.__setattr__(self, name, values)
@@ -330,15 +331,15 @@ class Scenario:
                 f"macro load peaks at {mbs_peak}, above the "
                 f"capacity limit {self.mbs_capacity_limit}"
             )
-        # Per-slot tables, one row per slot, built with whole-array
+        # One record per slot (``_Slot``), its rows built with whole-array
         # operations in the arithmetic order of their element-wise
         # definitions (``BaseStation.power``, the all-on total in ascending
-        # station order, each sleeping SBS's revenue weight as
-        # ``economics.sbs_off_weights`` states it), so every entry is the
-        # same double.  Rows are array('d'), a quarter of the memory of a
-        # tuple of floats: the canonical checks read single entries
-        # thousands of times per slot, and a numpy scalar read costs about
-        # twice an array('d') read.
+        # station order, each SBS's leasing income as demand x RB price,
+        # each sleeping SBS's revenue weight as ``economics.sbs_off_weights``
+        # states it), so every entry is the same double.  Float rows are
+        # array('d'), a quarter of the memory of a tuple of floats: the
+        # canonical checks read single entries thousands of times per slot,
+        # and a numpy scalar read costs about twice an array('d') read.
         stations = self.stations
         loads = self.traffic.T
         contrib = loads[:, 1:]
@@ -357,27 +358,30 @@ class Scenario:
             allon += active_power[:, i]
         sleep = np.array([bs.p_sleep for bs in stations[1:]], dtype=np.float64)
         factor = self.grid.slot_min / WATT_MIN_PER_KWH
+        lease = demand.T * self.spectrum[:, None]
         weights = (
             active_power[:, 1:] - sleep - contrib * zeta[0] * p_tx[0]
-        ) * factor * self.electricity[:, None] + demand.T * self.spectrum[:, None]
+        ) * factor * self.electricity[:, None] + lease
 
-        def rows(table: np.ndarray) -> tuple[array, ...]:
+        def rows(table: np.ndarray) -> list[array]:
             # one conversion, then a slice per row: half the cost of
             # converting each row on its own
             flat, width = array("d", table.tobytes()), table.shape[1]
-            return tuple([flat[i * width:(i + 1) * width] for i in range(len(table))])
+            return [flat[i * width:(i + 1) * width] for i in range(len(table))]
 
-        object.__setattr__(self, "_loads_by_slot", rows(loads))
-        object.__setattr__(
-            self, "_demands_by_slot", tuple(map(tuple, demand.T.tolist()))
+        fields = zip(
+            rows(loads),
+            rows(contrib),
+            rows(active_power),
+            repeat(tuple(bs.p_sleep for bs in stations)),
+            allon.tolist(),
+            self.electricity.tolist(),
+            rows(lease),
+            rows(weights),
+            demand.T.tolist(),
         )
-        object.__setattr__(self, "_contrib_by_slot", rows(contrib))
-        object.__setattr__(self, "_active_power_by_slot", rows(active_power))
-        object.__setattr__(self, "_allon_power_by_slot", tuple(allon.tolist()))
-        object.__setattr__(self, "_weights_by_slot", rows(weights))
-        object.__setattr__(self, "_sleep_powers", tuple(bs.p_sleep for bs in stations))
-        object.__setattr__(self, "_elec_by_slot", tuple(self.electricity.tolist()))
-        object.__setattr__(self, "_spectrum_by_slot", tuple(self.spectrum.tolist()))
+        slots = tuple(map(tuple.__new__, repeat(_Slot), fields))
+        object.__setattr__(self, "_slots", slots)
 
     @property
     def num_sbs(self) -> int:
@@ -389,23 +393,36 @@ class Scenario:
 
     def load(self, station: int, slot: int) -> float:
         """Normalized load of one station in one slot."""
-        if not (0 <= station <= self.num_sbs and 0 <= slot < self.num_slots):
-            raise IndexError(f"no station {station} in slot {slot} of this scenario")
-        return self._loads_by_slot[slot][station]
+        loads = self._slot(slot).loads
+        if not 0 <= station < len(loads):
+            raise IndexError(f"no station {station} in this scenario")
+        return loads[station]
 
     def demand(self, station: int, slot: int) -> int:
         """Secondary-network RB demand at an SBS (station index >= 1)."""
-        if not (1 <= station <= self.num_sbs and 0 <= slot < self.num_slots):
-            raise IndexError(f"no SBS {station} in slot {slot} of this scenario")
-        return self._demands_by_slot[slot][station - 1]
+        demands = self._slot(slot).demands
+        if not 1 <= station <= len(demands):
+            raise IndexError(f"no SBS {station} in this scenario")
+        return demands[station - 1]
 
     def all_on(self) -> SwitchVector:
-        return SwitchVector.all_on(self.num_sbs)
+        return SwitchVector(0, self.num_sbs)
 
-    def _check_slot(self, slot: int) -> None:
-        """Reject a slot outside the day, which a table would alias or miss."""
-        if not 0 <= slot < self.num_slots:
-            raise IndexError(f"slot {slot} outside range({self.num_slots})")
+    def _slot(self, slot: int, switch: SwitchVector | None = None) -> _Slot:
+        """The record of ``slot``, for a switch vector of this network's size.
+
+        Every per-slot reader fetches its figures here: a slot outside the
+        day, which a record index would alias or miss, raises IndexError,
+        and a switch vector of another size raises ValueError.
+        """
+        slots = self._slots
+        if not 0 <= slot < len(slots):
+            raise IndexError(f"slot {slot} outside range({len(slots)})")
+        if switch is not None and switch.num_sbs != self.num_sbs:
+            raise ValueError(
+                f"switch vector covers {switch.num_sbs} SBSs, scenario has {self.num_sbs}"
+            )
+        return slots[slot]
 
 
 @dataclass
@@ -420,20 +437,9 @@ class SolverResult:
     evaluations: int          # objective evaluations summed over all slots
     runtime_ns: int
 
-    def daily_check(self, tol: float = 1e-9) -> bool:
-        """Daily fields must match the per-slot sums to within ``tol``."""
-        energy = math.fsum(r.energy for r in self.per_slot_revenue)
-        leasing = math.fsum(r.leasing for r in self.per_slot_revenue)
-        total = math.fsum(r.total for r in self.per_slot_revenue)
-        return (
-            abs(self.daily.energy - energy) <= tol
-            and abs(self.daily.leasing - leasing) <= tol
-            and abs(self.daily.total - total) <= tol
-        )
-
 
 def daily_breakdown(per_slot: Sequence[RevenueBreakdown]) -> RevenueBreakdown:
     """Sum per-slot revenue into a daily figure with compensated addition."""
     energy = math.fsum(r.energy for r in per_slot)
     leasing = math.fsum(r.leasing for r in per_slot)
-    return RevenueBreakdown.of(energy, leasing)
+    return RevenueBreakdown(energy, leasing)

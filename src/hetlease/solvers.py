@@ -28,7 +28,7 @@ import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .economics import _energy_revenue, _leasing_terms, _network_power, slot_problem
+from .economics import _energy_revenue, _network_power, energy_factor, slot_problem
 from .economics import total_revenue_slot
 from .feasibility import OffloadReport, _ascending_sum, _conserved, _demand_after
 from .feasibility import is_feasible
@@ -233,7 +233,6 @@ def sa_solve_slot(
     scenario: Scenario,
     slot: int,
     params: SaParams | None = None,
-    trace: list | None = None,
 ) -> tuple[SwitchVector, RevenueBreakdown, int]:
     """Simulated annealing over one slot's switch lattice.
 
@@ -262,7 +261,7 @@ def sa_solve_slot(
     Every downhill move is decided by one Metropolis rule,
     ``_downhill_accept``, with kT = ``boltzmann_k`` x temperature taken
     once per level: outside the tie band the step calls it on the tracked
-    values, inside it ``metropolis_accept`` applies it to the exact sums.
+    values, inside it on the exact sums.
     The one residue: outside the tie band the threshold exp(gap / kT) is
     taken from the tracked gap, which may differ from the exact gap in its
     last bits.
@@ -283,8 +282,6 @@ def sa_solve_slot(
         scenario: problem instance.
         slot: slot index in range(scenario.num_slots).
         params: annealing parameters; defaults to SaParams().
-        trace: optional list collecting the best-so-far search value
-            after every evaluation (monotonically non-decreasing).
 
     Returns:
         (best switch, canonical revenue, objective evaluations).
@@ -297,8 +294,7 @@ def sa_solve_slot(
         only = scenario.all_on()
         return only, total_revenue_slot(scenario, slot, only), 0
 
-    rng = _slot_rng(params.rng_seed, slot)
-    rnd = rng.random
+    rnd = _slot_rng(params.rng_seed, slot).random
 
     k = params.k_factor * n
     # the neighborhood of every step of a level, in order
@@ -400,13 +396,9 @@ def sa_solve_slot(
                 # an equal-bit swap or zero weights: the exact sum is unchanged
                 accept = True
             else:
-                accept = metropolis_accept(
-                    _ascending_sum(current, 0.0, weights),
-                    _ascending_sum(current ^ bit[a] ^ bit[b], 0.0, weights),
-                    temperature,
-                    params,
-                    rng,
-                )
+                now = _ascending_sum(current, 0.0, weights)
+                then = _ascending_sum(current ^ bit[a] ^ bit[b], 0.0, weights)
+                accept = then >= now or _downhill_accept(now, then, kt, rnd)
             if accept:
                 current ^= bit[a] ^ bit[b]
                 cur_load, cur_val = lv, val
@@ -422,8 +414,6 @@ def sa_solve_slot(
                     # max: an exact tie-break may pick a value a few ulps low
                     best, best_val = cand, max(val, best_val)
                     best_lo = best_val - tie
-            if trace is not None:
-                trace.append(best_val)
         # diversify: restart the walk from a kicked copy of the best
         current = _kick(best, n, params.shake_flip_prob, rnd)
         cur_load, cur_val = rebuild(current)
@@ -455,19 +445,22 @@ def es_solve_slot(
         raise EnumerationCapError(
             f"{n} SBSs means 2^{n} states; enumeration is capped at {ES_MAX_SBS} SBSs"
         )
-    base, cap, contrib, _ = slot_problem(scenario, slot)
-    loads = scenario._loads_by_slot[slot].tolist()  # a list iterates faster
+    record = scenario._slot(slot)
+    loads = record.loads.tolist()  # a list iterates faster
     offered = math.fsum(loads)
-    leases = _ascending_sums(n, 0.0, _leasing_terms(scenario, slot))
+    mbs, cap = scenario.stations[0], scenario.mbs_capacity_limit
+    factor = energy_factor(scenario)
+    fits = _ascending_sums(n, loads[0], record.contrib)
+    leases = _ascending_sums(n, 0.0, record.lease)
     best_key = None
-    for mask, (load, lease) in enumerate(zip(_ascending_sums(n, base, contrib), leases)):
+    for mask, (load, lease) in enumerate(zip(fits, leases)):
         if load > cap:
             continue
         bits = _off_bits(mask, n)
         if not _conserved(offered, _demand_after(loads, bits)):
             continue
-        power = _network_power(scenario, slot, load, bits)
-        total = _energy_revenue(scenario, slot, power) + lease
+        power = _network_power(mbs, record, load, bits)
+        total = _energy_revenue(record, factor, power) + lease
         key = (-total, mask.bit_count(), mask)
         if best_key is None or key < best_key:
             best_key = key
@@ -480,9 +473,8 @@ def utility_vector(scenario: Scenario, slot: int) -> list[float]:
     """Per-SBS ranking score: leasable demand (as a fraction of the SBS's
     own resource blocks) minus its traffic load.  High scores mark cells
     that are cheap to offload and lucrative to lease."""
-    scenario._check_slot(slot)
-    loads = scenario._loads_by_slot[slot]
-    demands = scenario._demands_by_slot[slot]
+    record = scenario._slot(slot)
+    loads, demands = record.loads, record.demands
     return [
         demands[j - 1] / bs.rb_capacity - loads[j]
         for j, bs in enumerate(scenario.stations[1:], start=1)

@@ -15,6 +15,7 @@ from hetlease import (
     SwitchVector,
     TimeGrid,
     bench_scenario,
+    daily_breakdown,
     default_parameter_set,
     reference_scenario,
 )
@@ -209,7 +210,7 @@ class TestSwitchVector:
     @pytest.mark.parametrize("index", [-1, 4])
     def test_is_on_rejects_index_out_of_range(self, index):
         with pytest.raises(IndexError):
-            SwitchVector.all_on(3).is_on(index)
+            SwitchVector(0, 3).is_on(index)
 
     @pytest.mark.parametrize("mask", range(16))
     def test_off_mask_round_trip(self, mask):
@@ -221,7 +222,7 @@ class TestSwitchVector:
             SwitchVector.from_off_mask(8, 3)
 
     def test_bitstring(self):
-        assert SwitchVector.all_on(3).bitstring() == "1111"
+        assert SwitchVector(0, 3).bitstring() == "1111"
         assert switch_off(3, 2).bitstring() == "1101"
 
     def test_off_indices(self):
@@ -236,11 +237,14 @@ class TestSwitchVector:
 
 class TestRevenueBreakdown:
     def test_composition_exact(self):
-        rb = RevenueBreakdown.of(0.1, 0.2)
+        rb = RevenueBreakdown(0.1, 0.2)
         assert rb.total == 0.1 + 0.2
 
     def test_zero(self):
-        assert RevenueBreakdown.zero().total == 0.0
+        # a day of no slots sums to zero in both streams
+        day = daily_breakdown([])
+        assert day == RevenueBreakdown(0.0, 0.0)
+        assert day.total == 0.0
 
 
 class TestScenarioValidation:
@@ -331,18 +335,19 @@ class TestScenarioTables:
                 + int(scn.sn_demand[j, t]) * price
                 for j, bs in enumerate(scn.stations[1:])
             ]
+            lease = [int(scn.sn_demand[j, t]) * price for j in range(n)]
+            record = scn._slot(t)
             got = (
-                scn._loads_by_slot[t],
-                scn._contrib_by_slot[t],
-                scn._active_power_by_slot[t],
-                [scn._allon_power_by_slot[t]],
-                scn._weights_by_slot[t],
+                record.loads,
+                record.contrib,
+                record.active,
+                [record.allon, record.elec],
+                record.lease,
+                record.weights,
             )
-            for table, want in zip(got, (loads, contrib, active, [allon], weights)):
-                assert len(table) == len(want)
-                assert [x.hex() for x in table] == [x.hex() for x in want]
-            assert scn._demands_by_slot[t] == tuple(
-                int(scn.sn_demand[j, t]) for j in range(n)
-            )
-            assert scn._elec_by_slot[t].hex() == float(scn.electricity[t]).hex()
-            assert scn._spectrum_by_slot[t].hex() == float(scn.spectrum[t]).hex()
+            want = (loads, contrib, active, [allon, elec], lease, weights)
+            for row, expected in zip(got, want):
+                assert len(row) == len(expected)
+                assert [x.hex() for x in row] == [x.hex() for x in expected]
+            assert record.sleep == tuple(bs.p_sleep for bs in scn.stations)
+            assert record.demands == [int(scn.sn_demand[j, t]) for j in range(n)]

@@ -21,13 +21,16 @@ from hetlease import (
     bench_config,
     bench_scenario,
     build_scenario,
+    daily_breakdown,
     energy_revenue_slot,
     es_solve_slot,
+    hetnet_power_slot,
     is_feasible,
     leasing_revenue_slot,
     metropolis_accept,
     network_throughput,
     offloaded_mbs_load,
+    power_saving_slot,
     reference_config,
     reference_scenario,
     sa_solve_slot,
@@ -303,13 +306,10 @@ class TestSimulatedAnnealing:
         assert a[2] == b[2]
 
     def test_seed_changes_the_walk(self):
-        scn = bench_scenario(10)
-        traces = set()
-        for seed in range(4):
-            trace = []
-            sa_solve_slot(scn, 12, SaParams(rng_seed=seed), trace=trace)
-            traces.add(tuple(trace))
-        assert len(traces) > 1
+        # SA_GOLDEN's two runs on reference slot 0: same best, other walks
+        scn = reference_scenario()
+        runs = [sa_solve_slot(scn, 0, SaParams(rng_seed=seed)) for seed in (0, 1)]
+        assert [evaluations for _, _, evaluations in runs] == [34089, 35008]
 
     def test_macro_only_network(self):
         scn = build_tiny([[0.4]])
@@ -323,14 +323,6 @@ class TestSimulatedAnnealing:
         scn = bench_scenario(n)
         _, _, evaluations = sa_solve_slot(scn, 0, SaParams())
         assert evaluations == oracles.expected_sa_evaluations(n)
-
-    def test_best_trace_never_decreases(self):
-        scn = reference_scenario()
-        for seed in range(3):
-            trace = []
-            sa_solve_slot(scn, 77, SaParams(rng_seed=seed), trace=trace)
-            assert trace, "trace should record one value per evaluation"
-            assert all(b >= a for a, b in zip(trace, trace[1:]))
 
     def test_returned_switch_is_feasible(self):
         scn = reference_scenario()
@@ -763,8 +755,7 @@ def test_es_prices_each_fitting_mask_as_the_canonical_objective(monkeypatch, nam
     assert [e.hex() for e in energies] == [
         energy_revenue_slot(scn, slot, sw).hex() for sw in feasible
     ]
-    terms = hetlease.economics._leasing_terms(scn, slot)
-    leases = list(solvers._ascending_sums(n, 0.0, terms))
+    leases = list(solvers._ascending_sums(n, 0.0, scn._slot(slot).lease))
     assert [x.hex() for x in leases] == [
         leasing_revenue_slot(scn, slot, sw).hex() for sw in switches
     ]
@@ -1009,12 +1000,30 @@ SLOT_SOLVERS = {
 }
 
 
+# the public per-slot readers that take a switch vector
+SWITCH_READERS = {
+    reader.__name__: reader
+    for reader in (
+        network_throughput,
+        offloaded_mbs_load,
+        is_feasible,
+        hetnet_power_slot,
+        energy_revenue_slot,
+        leasing_revenue_slot,
+        total_revenue_slot,
+        power_saving_slot,
+    )
+}
+
 # the public per-slot readers, which check the slot the way the solvers do
 SLOT_READERS = {
     "utility_vector": utility_vector,
     "sbs_off_weights": sbs_off_weights,
     "all_on_power_slot": all_on_power_slot,
-    "network_throughput": lambda scn, t: network_throughput(scn, t, scn.all_on()),
+    **{
+        name: lambda scn, t, reader=reader: reader(scn, t, scn.all_on())
+        for name, reader in SWITCH_READERS.items()
+    },
 }
 
 
@@ -1029,6 +1038,16 @@ def test_slot_outside_the_day_is_rejected(method, past_end, loads):
     slot = scn.num_slots if past_end else -1
     with pytest.raises(IndexError, match=re.escape(f"slot {slot} outside range(2)")):
         {**SLOT_SOLVERS, **SLOT_READERS}[method](scn, slot)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("reader", sorted(SWITCH_READERS))
+def test_switch_of_another_size_is_rejected(reader, n):
+    # a bit beyond the network must not be dropped by a walk over its SBSs
+    scn = build_tiny([[0.3] + [0.1] * n])
+    too_long = SwitchVector(1 << (n + 1), n + 2)
+    with pytest.raises(ValueError, match=f"covers {n + 2} SBSs, scenario has {n}"):
+        SWITCH_READERS[reader](scn, 0, too_long)
 
 
 class TestSolveDay:
@@ -1069,7 +1088,7 @@ class TestSolveDay:
     def test_daily_check_and_runtime(self):
         scn = bench_scenario(4)
         result = solve_day(scn, "atype")
-        assert result.daily_check()
+        assert result.daily == daily_breakdown(result.per_slot_revenue)
         assert result.runtime_ns > 0
 
     def test_unknown_method_rejected(self):
