@@ -8,11 +8,9 @@ heuristics.
 """
 
 from .economics import (
-    WATT_MIN_PER_KWH,
     SlotProblem,
     all_on_power_slot,
     daily_revenue,
-    energy_factor,
     energy_revenue_slot,
     hetnet_power_slot,
     leasing_revenue_slot,
@@ -22,13 +20,11 @@ from .economics import (
     total_revenue_slot,
 )
 from .feasibility import (
-    CONSERVATION_TOL,
     OffloadReport,
     is_feasible,
     offloaded_mbs_load,
 )
 from .metrics import (
-    BenchRecord,
     network_throughput,
     runtime_scaling,
     throughput_invariance_report,
@@ -46,7 +42,6 @@ from .model import (
     SolverResult,
     SwitchVector,
     TimeGrid,
-    daily_breakdown,
     default_parameter_set,
 )
 from .scenario import (
@@ -55,18 +50,11 @@ from .scenario import (
     bench_scenario,
     build_scenario,
     default_electricity_multipliers,
-    dt_shift,
-    dynamic_spectrum_price,
-    ingest_activity_csv,
     load_config,
-    normalize_series,
     reference_config,
     reference_scenario,
     reference_variants,
     save_config,
-    scenario_to_config,
-    sn_demand_from_pn,
-    synth_traffic,
     validate_config,
 )
 from .solvers import (

@@ -498,13 +498,6 @@ def build_scenario(config: dict) -> Scenario:
     )
 
 
-def scenario_to_config(scenario: Scenario) -> dict:
-    """Recover the config a scenario was built from (lossless round-trip)."""
-    if scenario.config is None:
-        raise ConfigError("scenario was built without a config")
-    return copy.deepcopy(scenario.config)
-
-
 def save_config(config: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(config, fh, sort_keys=False)

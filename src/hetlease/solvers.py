@@ -29,7 +29,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .economics import _energy_revenue, _network_power, energy_factor, slot_problem
-from .economics import total_revenue_slot
+from .economics import SlotProblem, total_revenue_slot
 from .feasibility import OffloadReport, _ascending_sum, _conserved, _demand_after
 from .feasibility import is_feasible
 from .model import (
@@ -229,42 +229,50 @@ def metropolis_accept(
     )
 
 
-def sa_solve_slot(
-    scenario: Scenario,
-    slot: int,
-    params: SaParams | None = None,
+def _guard_band(row: SlotProblem, additions: int) -> tuple[float, float]:
+    """``(rel, band)`` for a tracked load that made ``additions`` additions
+    since its last exact sum: each is off by at most one rounding (eps x
+    scale), and ``band`` is ``rel`` x the load scale, |base| + sum of
+    |contributions|."""
+    rel = max(SA_GUARD_REL, additions * sys.float_info.epsilon)
+    return rel, rel * (abs(row.base) + sum(map(abs, row.contrib)))
+
+
+def _priced(
+    scenario: Scenario, slot: int, mask: int, evaluations: int
 ) -> tuple[SwitchVector, RevenueBreakdown, int]:
-    """Simulated annealing over one slot's switch lattice.
+    """A solver's winning off-mask as (switch, canonical revenue, evaluations)."""
+    switch = SwitchVector.from_off_mask(mask, scenario.num_sbs)
+    return switch, total_revenue_slot(scenario, slot, switch), evaluations
 
-    The search walks on the additive per-SBS revenue weights (an exact
-    linear decomposition of the objective), starting from all-on, which
-    always fits.  The returned revenue is re-evaluated through the
-    canonical objective.  Temperatures are in units of the slot's mean
-    |weight| (1.0 when every weight is 0), so the schedule means the same
-    at every revenue scale.
 
-    Each evaluation costs O(1) work: two delta lists hold the signed change
-    of macro load and of search value that flipping each bit of the current
-    state would cause, so a move's load and value are two additions away,
-    and an accepted move negates at most two entries.  The lists and the
-    running load and value are rebuilt exactly, in ascending station order,
-    at the start and after every shake (once per temperature level), so
-    float drift never outlives a level.
+def _anneal(row: SlotProblem, params: SaParams, rnd) -> tuple[int, int, int]:
+    """The annealing walk on one knapsack row, drawing from ``rnd``; returns
+    (best off-mask, evaluations, skipped steps).
+
+    The walk starts from all-on, which always fits.  Each evaluation costs
+    O(1) work: two delta lists hold the signed change of macro load and of
+    search value that flipping each bit of the current state would cause,
+    so a move's load and value are two additions away, and an accepted move
+    negates at most two entries.  The lists and the running load and value
+    are rebuilt exactly, in ascending station order, at the start and after
+    every shake (once per temperature level), so float drift never outlives
+    a level.
 
     Guard bands keep every decision equal to the one the exact ascending
-    sums give.  A delta load within ``SA_GUARD_REL`` times the load scale
-    (|base| + sum of |contributions|) of the capacity limit is re-decided
-    by the exact sum, so feasibility agrees with ``offloaded_mbs_load``
-    bit for bit.  Likewise, a value comparison (accept or new best) whose
-    two sides lie within twice that width, measured on the weight scale,
-    is decided by exact sums; this happens only for near-equal weights.
-    Every downhill move is decided by one Metropolis rule,
-    ``_downhill_accept``, with kT = ``boltzmann_k`` x temperature taken
-    once per level: outside the tie band the step calls it on the tracked
-    values, inside it on the exact sums.
-    The one residue: outside the tie band the threshold exp(gap / kT) is
-    taken from the tracked gap, which may differ from the exact gap in its
-    last bits.
+    sums give.  A delta load within ``_guard_band`` of the capacity limit
+    is re-decided by the exact sum, so feasibility agrees with
+    ``offloaded_mbs_load`` bit for bit.  Likewise, a value comparison
+    (accept or new best) whose two sides lie within twice that relative
+    width, measured on the weight scale, is decided by exact sums; this
+    happens only for near-equal weights.  Every downhill move is decided by
+    one Metropolis rule, ``_downhill_accept``, with kT = ``boltzmann_k`` x
+    temperature taken once per level and floored at the least positive
+    double, so an underflowing product rejects the move instead of
+    dividing by zero: outside the tie band the step calls it on the
+    tracked values, inside it on the exact sums.  The one residue: outside
+    the tie band the threshold exp(gap / kT) is taken from the tracked gap,
+    which may differ from the exact gap in its last bits.
 
     Each step draws uniformly among the feasible moves of one
     neighborhood.  A step first looks up the state's cached feasible
@@ -277,39 +285,24 @@ def sa_solve_slot(
     neighborhood stays non-empty, and only provably-empty steps are
     skipped.  The cache holds only neighborhoods that ran out of draws, so
     memory is O(N) for a walk on which every move fits.
-
-    Args:
-        scenario: problem instance.
-        slot: slot index in range(scenario.num_slots).
-        params: annealing parameters; defaults to SaParams().
-
-    Returns:
-        (best switch, canonical revenue, objective evaluations).
     """
-    if params is None:
-        params = SaParams()
-    base, cap, contrib, weights = slot_problem(scenario, slot)
-    n = scenario.num_sbs
+    base, cap, contrib, weights = row
+    n = len(contrib)
     if n == 0:
-        only = scenario.all_on()
-        return only, total_revenue_slot(scenario, slot, only), 0
-
-    rnd = _slot_rng(params.rng_seed, slot).random
+        return 0, 0, 0
 
     k = params.k_factor * n
     # the neighborhood of every step of a level, in order
     steps = ((0, 1, 2) if n >= 2 else (0,)) * k
     levels = params.temperature_levels()
 
-    # A tracked sum drifts from the exact ascending one by at most one
-    # rounding (eps x scale) per addition since the last rebuild, and a
-    # level makes fewer than n + 6k + 2 of them; the bands cover that.
-    rel = max(SA_GUARD_REL, (n + 6 * k + 2) * sys.float_info.epsilon)
-    band = rel * (abs(base) + sum(abs(c) for c in contrib))
+    # a level makes fewer than n + 6k + 2 additions to a tracked sum
+    rel, band = _guard_band(row, n + 6 * k + 2)
     sure_fit, sure_miss = cap - band, cap + band
     weight_sum = sum(abs(w) for w in weights)
     tie = 2.0 * rel * weight_sum
     t_scale = weight_sum / n or 1.0
+    kt_floor = math.ulp(0.0)
 
     # Index n is a "no flip" sentinel: its deltas are zero and its bit is 0.
     bit = [1 << j for j in range(n)] + [0]
@@ -341,9 +334,7 @@ def sa_solve_slot(
 
     for level in range(levels):
         temperature = (params.t_init - level * params.alpha) * t_scale
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        kt = params.boltzmann_k * temperature
+        kt = max(params.boltzmann_k * temperature, kt_floor)
         for kind in steps:
             moves = cache.get((current << 2) | kind) if cache else None
             if moves is None:
@@ -377,8 +368,7 @@ def sa_solve_slot(
                     ]
                     if not moves:
                         logger.debug(
-                            "slot %d: neighborhood %d empty from state %#x",
-                            slot, kind, current,
+                            "neighborhood %d empty from state %#x", kind, current
                         )
             if moves is not None:
                 if not moves:
@@ -418,13 +408,42 @@ def sa_solve_slot(
         current = _kick(best, n, params.shake_flip_prob, rnd)
         cur_load, cur_val = rebuild(current)
 
+    return best, levels * len(steps) - skipped, skipped
+
+
+def sa_solve_slot(
+    scenario: Scenario,
+    slot: int,
+    params: SaParams | None = None,
+) -> tuple[SwitchVector, RevenueBreakdown, int]:
+    """Simulated annealing over one slot's switch lattice.
+
+    Runs ``_anneal`` on the slot's knapsack row with the slot's own random
+    stream.  The search walks on the additive per-SBS revenue weights (an
+    exact linear decomposition of the objective); the winner is re-priced
+    through the canonical objective.  Temperatures are in units of the
+    slot's mean |weight| (1.0 when every weight is 0), so the schedule
+    means the same at every revenue scale.
+
+    Args:
+        scenario: problem instance.
+        slot: slot index in range(scenario.num_slots).
+        params: annealing parameters; defaults to SaParams().
+
+    Returns:
+        (best switch, canonical revenue, objective evaluations).
+    """
+    if params is None:
+        params = SaParams()
+    row = slot_problem(scenario, slot)
+    best, evaluations, skipped = _anneal(
+        row, params, _slot_rng(params.rng_seed, slot).random
+    )
     if skipped:
         logger.debug(
             "slot %d: %d neighborhood steps had no feasible move", slot, skipped
         )
-    evaluations = levels * len(steps) - skipped
-    switch = SwitchVector.from_off_mask(best, n)
-    return switch, total_revenue_slot(scenario, slot, switch), evaluations
+    return _priced(scenario, slot, best, evaluations)
 
 
 def es_solve_slot(
@@ -465,8 +484,7 @@ def es_solve_slot(
         if best_key is None or key < best_key:
             best_key = key
     assert best_key is not None, "all-on (mask 0) always fits"
-    switch = SwitchVector.from_off_mask(best_key[2], n)
-    return switch, total_revenue_slot(scenario, slot, switch), 1 << n
+    return _priced(scenario, slot, best_key[2], 1 << n)
 
 
 def utility_vector(scenario: Scenario, slot: int) -> list[float]:
@@ -481,37 +499,18 @@ def utility_vector(scenario: Scenario, slot: int) -> list[float]:
     ]
 
 
-def sorting_solve_slot(
-    scenario: Scenario, slot: int, order: SortOrder
-) -> tuple[SwitchVector, RevenueBreakdown, int]:
-    """Greedy utility-ranked switching.
+def _greedy(row: SlotProblem, ranked: Sequence[int]) -> int:
+    """The off-mask of the longest prefix of ``ranked`` that fits ``row``.
 
-    Ranks SBSs by the utility score (ties by index), then walks the
-    ranking switching each SBS off while the macro cell still has room,
-    stopping at the first one that does not fit.  The chosen off-set is
-    always a prefix of the ranking.
-
-    Costs O(N log N) per slot: one sort, then one pass that keeps a
-    running macro load in rank order.  The running load adds the same
+    One pass keeps a running macro load in rank order.  It adds the same
     terms as the exact ascending sum, in another order, so the two may
-    differ in their last bits; a running load within ``SA_GUARD_REL``
-    times the load scale (|base| + sum of |contributions|) of the
-    capacity limit is re-decided by the exact ascending sum, so every
+    differ in their last bits; a running load within ``_guard_band`` of
+    the capacity limit is re-decided by the exact ascending sum, so every
     decision agrees with ``offloaded_mbs_load`` bit for bit.
     """
-    n = scenario.num_sbs
-    base, cap, contrib, _ = slot_problem(scenario, slot)
-    util = utility_vector(scenario, slot)
-    # a stable sort, reversed or not, keeps tied SBSs in index order
-    ranked = sorted(
-        range(n), key=util.__getitem__, reverse=order is SortOrder.DESCENDING
-    )
-
-    # each of the two sums is off by at most one rounding (eps x scale) per
-    # addition, and a prefix makes at most n of them
-    rel = max(SA_GUARD_REL, n * sys.float_info.epsilon)
-    band = rel * (abs(base) + sum(map(abs, contrib)))
-
+    base, cap, contrib, _ = row
+    # a prefix makes at most n additions
+    _, band = _guard_band(row, len(contrib))
     mask = 0
     load = base
     for j in ranked:
@@ -521,8 +520,27 @@ def sorting_solve_slot(
         ):
             break
         mask |= 1 << j
-    switch = SwitchVector.from_off_mask(mask, n)
-    return switch, total_revenue_slot(scenario, slot, switch), 1
+    return mask
+
+
+def sorting_solve_slot(
+    scenario: Scenario, slot: int, order: SortOrder | str
+) -> tuple[SwitchVector, RevenueBreakdown, int]:
+    """Greedy utility-ranked switching.
+
+    Ranks SBSs by the utility score (ties by index), then walks the
+    ranking switching each SBS off while the macro cell still has room,
+    stopping at the first one that does not fit (``_greedy``).  The chosen
+    off-set is always a prefix of the ranking.  ``order`` is a
+    ``SortOrder`` or its value, ``"ascending"`` or ``"descending"``;
+    anything else raises ``ValueError``.  Costs O(N log N) per slot.
+    """
+    descending = SortOrder(order) is SortOrder.DESCENDING
+    row = slot_problem(scenario, slot)
+    util = utility_vector(scenario, slot)
+    # a stable sort, reversed or not, keeps tied SBSs in index order
+    ranked = sorted(range(len(util)), key=util.__getitem__, reverse=descending)
+    return _priced(scenario, slot, _greedy(row, ranked), 1)
 
 
 def solve_day(

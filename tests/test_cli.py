@@ -10,6 +10,7 @@ from hetlease import (
     is_feasible,
     leasing_revenue_slot,
     load_config,
+    reference_config,
     save_config,
     solve_day,
     validate_config,
@@ -398,3 +399,17 @@ def test_macro_only_network_runs(tmp_path, method):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["num_sbs"] == 0
     assert summary["daily_total"] == 0.0
+
+
+def test_subnormal_prices_solve_with_every_method(tmp_path):
+    # the annealer's temperatures, in units of the weights, underflow to 0
+    config = reference_config()
+    config["pricing"].update(fixed_electricity=3.0e-320, fixed_spectrum=5.0e-324)
+    path = tmp_path / "tiny.yaml"
+    save_config(config, path)
+    totals = {}
+    for method in ("es", "sa", "dtype"):
+        out = tmp_path / method
+        assert main(["run", "--config", str(path), "--method", method, "--out", str(out)]) == 0
+        totals[method] = json.loads((out / "summary.json").read_text())["daily_total"]
+    assert totals["es"] >= totals["sa"] and totals["es"] >= totals["dtype"]

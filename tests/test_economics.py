@@ -10,7 +10,6 @@ from hetlease import (
     all_on_power_slot,
     build_scenario,
     daily_revenue,
-    energy_factor,
     energy_revenue_slot,
     hetnet_power_slot,
     leasing_revenue_slot,
@@ -20,6 +19,7 @@ from hetlease import (
     slot_problem,
     total_revenue_slot,
 )
+from hetlease.economics import energy_factor
 
 import oracles
 from conftest import build_tiny, switch_off

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from hetlease import (
-    CONSERVATION_TOL,
     OffloadMode,
     SwitchVector,
     is_feasible,
@@ -11,6 +10,7 @@ from hetlease import (
     reference_scenario,
     slot_problem,
 )
+from hetlease.feasibility import CONSERVATION_TOL
 
 import oracles
 from conftest import build_tiny, switch_off

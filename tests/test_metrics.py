@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hetlease import (
-    BenchRecord,
     InfeasibleSwitchError,
     SwitchVector,
     bench_scenario,
@@ -12,6 +11,7 @@ from hetlease import (
     throughput_invariance_report,
     write_bench_csv,
 )
+from hetlease.metrics import BenchRecord
 
 import oracles
 from conftest import build_tiny, switch_off

@@ -2,10 +2,12 @@ import dataclasses
 import math
 import random
 import re
+import types
 
 import numpy as np
 import pytest
 
+import hetlease
 from hetlease import (
     BaseStation,
     BsKind,
@@ -15,10 +17,10 @@ from hetlease import (
     SwitchVector,
     TimeGrid,
     bench_scenario,
-    daily_breakdown,
     default_parameter_set,
     reference_scenario,
 )
+from hetlease.model import daily_breakdown
 
 from conftest import build_tiny, switch_off
 
@@ -351,3 +353,32 @@ class TestScenarioTables:
                 assert [x.hex() for x in row] == [x.hex() for x in expected]
             assert record.sleep == tuple(bs.p_sleep for bs in scn.stations)
             assert record.demands == [int(scn.sn_demand[j, t]) for j in range(n)]
+
+
+PUBLIC_NAMES = {
+    "BaseStation", "BsKind", "ConfigError", "CsvFormatError", "ES_MAX_SBS",
+    "EnumerationCapError", "InfeasibleSwitchError", "Method", "OffloadMode",
+    "OffloadReport", "RevenueBreakdown", "SaParams", "Scenario", "SlotProblem",
+    "SolverResult", "SortOrder", "SwitchVector", "TimeGrid",
+    "all_on_power_slot", "bench_config", "bench_scenario", "build_scenario",
+    "daily_revenue", "default_electricity_multipliers", "default_parameter_set",
+    "energy_revenue_slot", "es_solve_slot", "hetnet_power_slot", "is_feasible",
+    "leasing_revenue_slot", "load_config", "metropolis_accept",
+    "network_throughput", "offloaded_mbs_load", "power_saving_slot",
+    "reference_config", "reference_scenario", "reference_variants",
+    "runtime_scaling", "sa_solve_slot", "save_config", "sbs_off_weights",
+    "slot_problem", "solve_day", "sorting_solve_slot",
+    "throughput_invariance_report", "total_revenue_slot", "utility_vector",
+    "validate_config", "write_bench_csv",
+}
+
+
+def test_public_surface():
+    # adding or dropping an export is a deliberate edit of this list
+    exported = {
+        name
+        for name, value in vars(hetlease).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 50

@@ -14,22 +14,23 @@ from hetlease import (
     build_scenario,
     default_electricity_multipliers,
     default_parameter_set,
-    dt_shift,
-    dynamic_spectrum_price,
-    ingest_activity_csv,
     load_config,
-    normalize_series,
     offloaded_mbs_load,
     reference_config,
     reference_scenario,
     save_config,
-    scenario_to_config,
-    sn_demand_from_pn,
-    synth_traffic,
     validate_config,
 )
 from hetlease import scenario as scenario_module
 from hetlease.model import SwitchVector
+from hetlease.scenario import (
+    dt_shift,
+    dynamic_spectrum_price,
+    ingest_activity_csv,
+    normalize_series,
+    sn_demand_from_pn,
+    synth_traffic,
+)
 
 
 class TestSynthTraffic:
@@ -358,8 +359,7 @@ class TestConfig:
 
     def test_scenario_remembers_its_config(self):
         scn = reference_scenario()
-        config = scenario_to_config(scn)
-        again = build_scenario(config)
+        again = build_scenario(scn.config)
         assert np.array_equal(scn.sn_demand, again.sn_demand)
 
     def test_yaml_is_plain_data(self, tmp_path):

@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import logging
 import math
 import random
 import re
@@ -21,7 +22,6 @@ from hetlease import (
     bench_config,
     bench_scenario,
     build_scenario,
-    daily_breakdown,
     energy_revenue_slot,
     es_solve_slot,
     hetnet_power_slot,
@@ -45,6 +45,7 @@ from hetlease import (
 import hetlease.economics
 import hetlease.feasibility
 from hetlease import solvers
+from hetlease.model import daily_breakdown
 
 import oracles
 from conftest import build_tiny, switch_off
@@ -63,7 +64,7 @@ def chi2(counts, cells):
 
 
 def moves_from_the_optimum(monkeypatch, contrib, cap, positive=0, seed=0):
-    """Run the annealer on a scripted knapsack row (base load 0) and return
+    """Run ``_anneal`` on a scripted knapsack row (base load 0) and return
     the cell sets, as masks, of the moves it draws from the row's optimum,
     in draw order, the kinds of the neighborhoods it enumerated, and the
     evaluation count.
@@ -92,13 +93,12 @@ def moves_from_the_optimum(monkeypatch, contrib, cap, positive=0, seed=0):
         return real_pairs(kind, is_off, n)
 
     real_pairs = solvers._neighborhood_pairs
-    row = SlotProblem(0.0, cap, contrib, weights)
-    monkeypatch.setattr(solvers, "slot_problem", lambda scenario, slot: row)
     monkeypatch.setattr(solvers, "_downhill_accept", record_and_reject)
     monkeypatch.setattr(solvers, "_neighborhood_pairs", counting_pairs)
     params = SaParams(shake_flip_prob=0.0, rng_seed=seed)
-    switch, _, evaluations = sa_solve_slot(bench_scenario(n), 0, params)
-    assert switch.off_mask() == positive
+    row = SlotProblem(0.0, cap, contrib, weights)
+    best, evaluations, _ = solvers._anneal(row, params, solvers._slot_rng(seed, 0).random)
+    assert best == positive
     return drawn, enumerated, evaluations
 
 
@@ -336,6 +336,42 @@ class TestSimulatedAnnealing:
         again = total_revenue_slot(scn, 30, switch)
         assert revenue == again
 
+    def test_subnormal_weights(self):
+        # scaled by these weights, the late temperatures underflow to 0
+        scn = build_tiny([[0.1] * 4], elec=3e-320, spectrum=0.0)
+        weights = sbs_off_weights(scn, 0)
+        assert 0.0 < max(weights) < 1e-320
+        switch, revenue, evaluations = sa_solve_slot(scn, 0)
+        assert is_feasible(scn, 0, switch).feasible
+        assert revenue.total <= es_solve_slot(scn, 0)[1].total
+        assert evaluations == oracles.expected_sa_evaluations(3)
+
+    def test_tiny_boltzmann_constant(self):
+        # K x temperature underflows to 0: every downhill move is rejected
+        scn = reference_scenario()
+        switch, revenue, _ = sa_solve_slot(scn, 0, SaParams(boltzmann_k=5e-324))
+        assert is_feasible(scn, 0, switch).feasible
+        assert revenue.total <= es_solve_slot(scn, 0)[1].total
+
+    def test_debug_records_of_skipped_steps_and_empty_neighborhoods(self, caplog):
+        # the records perfbench's tracer counts; reference slot 0 binds
+        scn, params = reference_scenario(), SaParams()
+        with caplog.at_level(logging.DEBUG, logger="hetlease.solvers"):
+            _, _, evaluations = sa_solve_slot(scn, 0, params)
+        skipped = [r for r in caplog.records if "no feasible move" in r.msg]
+        assert [r.args for r in skipped] == [(0, 1551)]
+        steps = params.temperature_levels() * 3 * params.k_factor * scn.num_sbs
+        assert steps - evaluations == 1551
+        empty = [r.args for r in caplog.records if "empty from state" in r.msg]
+        assert empty and len(set(empty)) == len(empty)
+        base, cap, contrib, _ = slot_problem(scn, 0)
+        n = scn.num_sbs
+        for kind, state in empty:
+            is_off = [state >> j & 1 == 1 for j in range(n)] + [False]
+            for a, b in solvers._neighborhood_pairs(kind, is_off, n):
+                flips = ((1 << a) | (1 << b)) & ((1 << n) - 1)
+                assert ascending_load(base, contrib, state ^ flips) > cap
+
 
 def tight_bench_scenario(n=16, limit=0.58):
     """bench_scenario(n) with the macro capped just above its 0.55 peak,
@@ -520,6 +556,23 @@ def ascending_load(base, loads, mask):
     return total
 
 
+def assert_kernels_match_the_solvers(scn, row):
+    """``_greedy`` and ``_anneal`` on ``row``, the raw knapsack row of
+    ``scn``'s slot 0, give the public solvers' masks and evaluation counts."""
+    assert slot_problem(scn, 0) == row
+    util = utility_vector(scn, 0)
+    for order in SortOrder:
+        descending = order is SortOrder.DESCENDING
+        ranked = sorted(range(len(util)), key=util.__getitem__, reverse=descending)
+        switch, _, _ = sorting_solve_slot(scn, 0, order)
+        assert solvers._greedy(row, ranked) == switch.off_mask()
+    for seed in range(3):
+        params = SaParams(rng_seed=seed)
+        switch, _, evaluations = sa_solve_slot(scn, 0, params)
+        best, count, _ = solvers._anneal(row, params, solvers._slot_rng(seed, 0).random)
+        assert (best, count) == (switch.off_mask(), evaluations)
+
+
 # (macro load, SBS loads, boundary mask, near mask): the capacity is set to
 # the ascending sum of the boundary mask; the near mask sums one ulp above
 # it in ascending order but at or below it in some other order, which is
@@ -548,6 +601,8 @@ def test_guard_band_keeps_capacity_decisions_canonical(base, loads, boundary, ne
         assert is_feasible(scn, 0, switch).feasible
         assert oracles.feasible(scn, 0, switch.gamma)
         assert revenue.total <= best
+    row = SlotProblem(base, limit, loads, sbs_off_weights(scn, 0))
+    assert_kernels_match_the_solvers(scn, row)
 
 
 class TestExhaustiveSearch:
@@ -836,6 +891,14 @@ class TestUtilityRanking:
 
 
 class TestSortingHeuristics:
+    def test_order_by_value(self):
+        scn = reference_scenario()
+        for order, mask in ((SortOrder.ASCENDING, 3289), (SortOrder.DESCENDING, 831)):
+            assert sorting_solve_slot(scn, 0, order)[0].off_mask() == mask
+            assert sorting_solve_slot(scn, 0, order.value)[0].off_mask() == mask
+        with pytest.raises(ValueError):
+            sorting_solve_slot(scn, 0, "bogus")
+
     def test_idle_network_sleeps_everything(self):
         scn = build_tiny([[0.0, 0.0, 0.0, 0.0]])
         for order in SortOrder:
@@ -990,6 +1053,8 @@ class TestGreedyMatchesOracle:
         exact = ascending_load(base, loads, (1 << first[0]) | (1 << first[1]))
         assert {running, exact} == {limit, math.nextafter(limit, 2.0)}
         self.check(scn)
+        row = SlotProblem(base, limit, loads, sbs_off_weights(scn, 0))
+        assert_kernels_match_the_solvers(scn, row)
 
 
 SLOT_SOLVERS = {
