@@ -19,9 +19,11 @@ import logging
 import math
 import os
 import sys
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
-from .metrics import runtime_scaling, write_bench_csv
+from .metrics import _write_csv, runtime_scaling, write_bench_csv
 from .model import ConfigError, Scenario, SolverResult
 from .scenario import CsvFormatError, build_scenario, load_config
 from .solvers import ES_MAX_SBS, Method, SaParams, solve_day
@@ -45,11 +47,27 @@ def _resolve_out(arg_out: str | None) -> Path:
     return path
 
 
-def _write_lines(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def _write_json(path: Path, data: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_switches(path: Path, result: SolverResult) -> None:
+    _write_csv(
+        path, ["slot", "switch"],
+        [[t, switch.bitstring()] for t, switch in enumerate(result.per_slot_switch)],
+    )
+
+
+def _day_totals(result: SolverResult) -> dict:
+    return {
+        "daily_energy": result.daily.energy,
+        "daily_leasing": result.daily.leasing,
+        "daily_total": result.daily.total,
+        "evaluations": result.evaluations,
+        "runtime_ns": result.runtime_ns,
+    }
 
 
 def _apply_overrides(config: dict, args) -> dict:
@@ -75,55 +93,33 @@ def _sa_params(args) -> SaParams:
     return SaParams(rng_seed=args.seed if args.seed is not None else 0)
 
 
-def _write_run_outputs(out: Path, scenario: Scenario, result: SolverResult) -> list[Path]:
-    revenue_rows = []
-    switch_rows = []
-    for t, (switch, revenue, report) in enumerate(
-        zip(result.per_slot_switch, result.per_slot_revenue, result.per_slot_report)
-    ):
-        revenue_rows.append(
-            [
-                str(t),
-                _fmt(revenue.energy),
-                _fmt(revenue.leasing),
-                _fmt(revenue.total),
-                _fmt(report.mbs_load_after),
-                "true" if report.feasible else "false",
-            ]
-        )
-        switch_rows.append([str(t), switch.bitstring()])
-
-    revenue_path = out / "revenue_per_slot.csv"
-    switch_path = out / "switch_per_slot.csv"
-    summary_path = out / "summary.json"
-    _write_lines(
-        revenue_path,
-        ["slot", "energy", "leasing", "total", "mbs_load", "feasible"],
-        revenue_rows,
-    )
-    _write_lines(switch_path, ["slot", "switch"], switch_rows)
-    summary = {
-        "method": result.method,
-        "seed": scenario.config["traffic"]["seed"],
-        "num_slots": scenario.num_slots,
-        "num_sbs": scenario.num_sbs,
-        "daily_energy": result.daily.energy,
-        "daily_leasing": result.daily.leasing,
-        "daily_total": result.daily.total,
-        "evaluations": result.evaluations,
-        "runtime_ns": result.runtime_ns,
-    }
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return [revenue_path, switch_path, summary_path]
-
-
 def cmd_run(args) -> int:
     scenario = _scenario(args)
     result = solve_day(scenario, Method.from_str(args.method), _sa_params(args))
     out = _resolve_out(args.out)
-    files = _write_run_outputs(out, scenario, result)
+    files = [out / "revenue_per_slot.csv", out / "switch_per_slot.csv", out / "summary.json"]
+    _write_csv(
+        files[0],
+        ["slot", "energy", "leasing", "total", "mbs_load", "feasible"],
+        [
+            [t, _fmt(revenue.energy), _fmt(revenue.leasing), _fmt(revenue.total),
+             _fmt(report.mbs_load_after), "true" if report.feasible else "false"]
+            for t, (revenue, report) in enumerate(
+                zip(result.per_slot_revenue, result.per_slot_report)
+            )
+        ],
+    )
+    _write_switches(files[1], result)
+    _write_json(
+        files[2],
+        {
+            "method": result.method,
+            "seed": scenario.config["traffic"]["seed"],
+            "num_slots": scenario.num_slots,
+            "num_sbs": scenario.num_sbs,
+            **_day_totals(result),
+        },
+    )
     logger.info("wrote %s", ", ".join(str(f) for f in files))
     return 0
 
@@ -137,56 +133,33 @@ def cmd_compare(args) -> int:
 
     # each slot is labelled with the hour it starts in; an hour's revenue
     # sums every slot that starts in it
-    slot_min = scenario.grid.slot_min
-    hours = [t * slot_min // 60 for t in range(scenario.num_slots)]
-    hourly: dict[str, dict[int, float]] = {}
-    for name, result in results.items():
-        by_hour: dict[int, list[float]] = {}
-        for hour, revenue in zip(hours, result.per_slot_revenue):
-            by_hour.setdefault(hour, []).append(revenue.total)
-        hourly[name] = {h: math.fsum(totals) for h, totals in by_hour.items()}
-
+    hours = [t * scenario.grid.slot_min // 60 for t in range(scenario.num_slots)]
     header = ["slot", "hour", "mbs_load", "sn_demand_total"]
-    for name in results:
-        header += [f"{name}_total", f"{name}_hourly"]
-    rows = []
-    for t, hour in enumerate(hours):
-        demand_total = sum(
-            scenario.demand(j, t) for j in range(1, scenario.num_sbs + 1)
-        )
-        row = [str(t), str(hour), _fmt(scenario.load(0, t)), str(demand_total)]
-        for name, result in results.items():
-            row.append(_fmt(result.per_slot_revenue[t].total))
-            row.append(_fmt(hourly[name][hour]))
-        rows.append(row)
-    _write_lines(out / "compare_revenue.csv", header, rows)
-
+    columns = []
     for name, result in results.items():
-        _write_lines(
-            out / f"switch_per_slot_{name}.csv",
-            ["slot", "switch"],
-            [
-                [str(t), result.per_slot_switch[t].bitstring()]
-                for t in range(scenario.num_slots)
-            ],
-        )
-
-    summary = {
-        "methods": {
-            name: {
-                "daily_total": res.daily.total,
-                "daily_energy": res.daily.energy,
-                "daily_leasing": res.daily.leasing,
-                "evaluations": res.evaluations,
-                "runtime_ns": res.runtime_ns,
-            }
-            for name, res in results.items()
+        header += [f"{name}_total", f"{name}_hourly"]
+        totals = [revenue.total for revenue in result.per_slot_revenue]
+        hourly = []
+        for _, group in groupby(zip(hours, totals), key=itemgetter(0)):
+            same_hour = [total for _, total in group]
+            hourly += [math.fsum(same_hour)] * len(same_hour)
+        columns += [totals, hourly]
+    sbs = range(1, scenario.num_sbs + 1)
+    rows = [
+        [t, hour, _fmt(scenario.load(0, t)), sum(scenario.demand(j, t) for j in sbs),
+         *map(_fmt, values)]
+        for t, (hour, *values) in enumerate(zip(hours, *columns))
+    ]
+    _write_csv(out / "compare_revenue.csv", header, rows)
+    for name, result in results.items():
+        _write_switches(out / f"switch_per_slot_{name}.csv", result)
+    _write_json(
+        out / "summary.json",
+        {
+            "methods": {name: _day_totals(result) for name, result in results.items()},
+            "seed": scenario.config["traffic"]["seed"],
         },
-        "seed": scenario.config["traffic"]["seed"],
-    }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    )
     logger.info("wrote compare outputs to %s", out)
     return 0
 
@@ -213,8 +186,7 @@ def cmd_bench(args) -> int:
             records.extend(runtime_scaling([n], run, args.seed))
     write_bench_csv(records, out / "bench.csv")
     if notes:
-        with open(out / "bench_notes.txt", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(notes) + "\n")
+        (out / "bench_notes.txt").write_text("\n".join(notes) + "\n", encoding="utf-8")
     logger.info("wrote %d benchmark records to %s", len(records), out / "bench.csv")
     return 0
 
@@ -234,13 +206,9 @@ def cmd_market(args) -> int:
         )
         expenditure = result.daily.leasing
         unit_cost = _fmt(expenditure / leased) if leased else ""
-        rows.append([method.value, _fmt(expenditure), str(leased), unit_cost])
+        rows.append([method.value, _fmt(expenditure), leased, unit_cost])
 
-    _write_lines(
-        out / "market.csv",
-        ["method", "expenditure", "rbs_leased", "avg_unit_cost"],
-        rows,
-    )
+    _write_csv(out / "market.csv", ["method", "expenditure", "rbs_leased", "avg_unit_cost"], rows)
     logger.info("wrote %s", out / "market.csv")
     return 0
 
@@ -252,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="scenario YAML")
+    def common(p):
+        p.add_argument("--config", required=True, help="scenario YAML")
         p.add_argument("--seed", type=int, default=None, help="override traffic/search seed")
         p.add_argument("--out", default=None, help=f"output dir (or ${OUT_DIR_ENV})")
         p.add_argument(

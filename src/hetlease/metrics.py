@@ -9,9 +9,8 @@ in exact evaluation counts and in wall time.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -131,20 +130,21 @@ def runtime_scaling(
     return records
 
 
-BENCH_CSV_HEADER = ("method", "n_sbs", "runtime_ns", "evaluations", "daily_revenue")
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as comma-separated lines ending in
+    ``\\n``, each cell through ``str``.  Every CSV the package writes goes
+    through here; callers pass floats as their ``repr``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in (header, *rows):
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def write_bench_csv(records: Sequence[BenchRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BENCH_CSV_HEADER)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.method,
-                    rec.n_sbs,
-                    rec.runtime_ns,
-                    rec.evaluations,
-                    repr(rec.daily_revenue),
-                ]
-            )
+    _write_csv(
+        path,
+        ("method", "n_sbs", "runtime_ns", "evaluations", "daily_revenue"),
+        [
+            [rec.method, rec.n_sbs, rec.runtime_ns, rec.evaluations, repr(rec.daily_revenue)]
+            for rec in records
+        ],
+    )

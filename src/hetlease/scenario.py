@@ -386,6 +386,8 @@ def _check_number_types(config: dict) -> None:
             raise ConfigError(f"traffic.scale must be a list, got {tcfg['scale']!r}")
         for i, factor in enumerate(tcfg["scale"]):
             _require_number(factor, f"traffic.scale[{i}]")
+    if tcfg["csv_path"] is not None and not isinstance(tcfg["csv_path"], str):
+        raise ConfigError(f"traffic.csv_path must be a path, got {tcfg['csv_path']!r}")
     if tcfg["assignment"] is not None:
         if not isinstance(tcfg["assignment"], dict):
             raise ConfigError(

@@ -95,8 +95,9 @@ class SaParams:
     tries all three neighborhoods in a fixed order.  ``t_init``,
     ``t_final`` and ``alpha`` are in units of the slot's mean |weight|
     (1.0 when every weight is 0): ``sa_solve_slot`` multiplies each
-    level's temperature by that scale.  The float fields must be finite
-    and ``k_factor`` an integer.
+    level's temperature by that scale.  The float fields, and the level
+    count's (t_init - t_final) / alpha, must be finite, and ``k_factor``
+    an integer.
     """
 
     t_init: float = 1.0
@@ -124,6 +125,8 @@ class SaParams:
             raise ValueError("boltzmann_k must be positive")
         if not 0.0 <= self.shake_flip_prob <= 1.0:
             raise ValueError("shake_flip_prob must lie in [0, 1]")
+        if not math.isfinite((self.t_init - self.t_final) / self.alpha):
+            raise ValueError("(t_init - t_final) / alpha must be finite")
 
     def temperature_levels(self) -> int:
         """Number of temperature levels the cooling loop executes.
@@ -205,6 +208,13 @@ def _kick(mask: int, n: int, p: float, rnd) -> int:
     return mask
 
 
+def _kt(boltzmann_k: float, temperature: float) -> float:
+    """kT = ``boltzmann_k`` x ``temperature``, floored at the least positive
+    double, so a product that underflows rejects every downhill move
+    instead of dividing by zero; every positive product is kept as is."""
+    return max(boltzmann_k * temperature, math.ulp(0.0))
+
+
 def _downhill_accept(current: float, candidate: float, kt: float, rnd) -> bool:
     """The Metropolis rule for a move that loses revenue: accept with
     probability exp(-(current - candidate) / kt), from one ``rnd()`` draw."""
@@ -225,8 +235,15 @@ def metropolis_accept(
     if candidate_revenue >= current_revenue:
         return True
     return _downhill_accept(
-        current_revenue, candidate_revenue, params.boltzmann_k * temperature, rng.random
+        current_revenue, candidate_revenue, _kt(params.boltzmann_k, temperature), rng.random
     )
+
+
+def _abs_sum(values: Sequence[float]) -> float:
+    """The sum of |v| over ``values``, added left to right by
+    ``_ascending_sum``: the same double on every Python (the builtin
+    ``sum`` compensates from 3.12 on)."""
+    return _ascending_sum((1 << len(values)) - 1, 0.0, [abs(v) for v in values])
 
 
 def _guard_band(row: SlotProblem, additions: int) -> tuple[float, float]:
@@ -235,7 +252,7 @@ def _guard_band(row: SlotProblem, additions: int) -> tuple[float, float]:
     scale), and ``band`` is ``rel`` x the load scale, |base| + sum of
     |contributions|."""
     rel = max(SA_GUARD_REL, additions * sys.float_info.epsilon)
-    return rel, rel * (abs(row.base) + sum(map(abs, row.contrib)))
+    return rel, rel * (abs(row.base) + _abs_sum(row.contrib))
 
 
 def _priced(
@@ -266,10 +283,8 @@ def _anneal(row: SlotProblem, params: SaParams, rnd) -> tuple[int, int, int]:
     (accept or new best) whose two sides lie within twice that relative
     width, measured on the weight scale, is decided by exact sums; this
     happens only for near-equal weights.  Every downhill move is decided by
-    one Metropolis rule, ``_downhill_accept``, with kT = ``boltzmann_k`` x
-    temperature taken once per level and floored at the least positive
-    double, so an underflowing product rejects the move instead of
-    dividing by zero: outside the tie band the step calls it on the
+    one Metropolis rule, ``_downhill_accept``, with ``_kt``'s floored kT
+    taken once per level: outside the tie band the step calls it on the
     tracked values, inside it on the exact sums.  The one residue: outside
     the tie band the threshold exp(gap / kT) is taken from the tracked gap,
     which may differ from the exact gap in its last bits.
@@ -299,10 +314,9 @@ def _anneal(row: SlotProblem, params: SaParams, rnd) -> tuple[int, int, int]:
     # a level makes fewer than n + 6k + 2 additions to a tracked sum
     rel, band = _guard_band(row, n + 6 * k + 2)
     sure_fit, sure_miss = cap - band, cap + band
-    weight_sum = sum(abs(w) for w in weights)
+    weight_sum = _abs_sum(weights)
     tie = 2.0 * rel * weight_sum
     t_scale = weight_sum / n or 1.0
-    kt_floor = math.ulp(0.0)
 
     # Index n is a "no flip" sentinel: its deltas are zero and its bit is 0.
     bit = [1 << j for j in range(n)] + [0]
@@ -334,7 +348,7 @@ def _anneal(row: SlotProblem, params: SaParams, rnd) -> tuple[int, int, int]:
 
     for level in range(levels):
         temperature = (params.t_init - level * params.alpha) * t_scale
-        kt = max(params.boltzmann_k * temperature, kt_floor)
+        kt = _kt(params.boltzmann_k, temperature)
         for kind in steps:
             moves = cache.get((current << 2) | kind) if cache else None
             if moves is None:

@@ -185,6 +185,32 @@ def test_compare_single_method_matches_run(small_config, tmp_path):
     _, run_rows = read_rows(run_out / "revenue_per_slot.csv")
     col = cmp_header.index("es_total")
     assert [row[col] for row in cmp_rows] == [row[3] for row in run_rows]
+    assert (cmp_out / "switch_per_slot_es.csv").read_bytes() == (
+        run_out / "switch_per_slot.csv"
+    ).read_bytes()
+    cmp_es = json.loads((cmp_out / "summary.json").read_text())["methods"]["es"]
+    run_summary = json.loads((run_out / "summary.json").read_text())
+    for key in ("daily_energy", "daily_leasing", "daily_total", "evaluations"):
+        assert cmp_es[key] == run_summary[key], key
+
+
+def test_every_csv_ends_its_lines_in_newline(small_config, tmp_path):
+    config = ["--config", str(small_config)]
+    commands = {
+        "run": ["run", *config, "--method", "dtype"],
+        "compare": ["compare", *config, "--methods", "dtype", "atype"],
+        "market": ["market", *config],
+        "bench": ["bench", "--n", "2", "--methods", "es", "dtype"],
+    }
+    written = []
+    for name, argv in commands.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        written += sorted((tmp_path / name).glob("*.csv"))
+    assert {path.parent.name for path in written} == set(commands)
+    for path in written:
+        data = path.read_bytes()
+        assert b"\r" not in data, path
+        assert data.endswith(b"\n"), path
 
 
 @pytest.mark.parametrize("slot_min", [45, 120])
@@ -289,6 +315,16 @@ def test_unknown_method_is_an_error(small_config, tmp_path, capsys):
         (
             "traffic: {source: csv, csv_path: a.csv, assignment: [7, 0]}",
             "traffic.assignment",
+        ),
+        (
+            "traffic: {source: csv, csv_path: [a], assignment: {1: 0}}",
+            "traffic.csv_path",
+        ),
+        # an integer path would be opened as a file descriptor: no process
+        # has this one open
+        (
+            "traffic: {source: csv, csv_path: 987654, assignment: {1: 0}}",
+            "traffic.csv_path",
         ),
         ("stations: [{kind: macro, p_o: .nan}]", "p_o"),
         ("stations: [{kind: macro, zeta: .inf}]", "zeta"),

@@ -257,6 +257,12 @@ class TestMetropolis:
         with pytest.raises(ValueError):
             metropolis_accept(1.0, 0.5, 0.0, SaParams(), rng)
 
+    def test_underflowing_kt_rejects_a_downhill_move(self):
+        # K x temperature underflows to 0; kT is floored as the annealer's is
+        params = SaParams(boltzmann_k=0.5)
+        assert not metropolis_accept(1.0, 0.5, 5e-324, params, random.Random(0))
+        assert metropolis_accept(1.0, 1.0, 5e-324, params, random.Random(0))
+
 
 class TestSaParams:
     def test_default_schedule_has_99_levels(self):
@@ -294,6 +300,11 @@ class TestSaParams:
     ):
         with pytest.raises(ValueError, match=field):
             SaParams(**{field: value})
+
+    def test_infinite_level_count_names_the_fields(self):
+        # every field is finite, but (t_init - t_final) / alpha overflows
+        with pytest.raises(ValueError, match=r"\(t_init - t_final\) / alpha"):
+            SaParams(t_init=1e308, t_final=1.0, alpha=1e-10)
 
 
 class TestSimulatedAnnealing:
@@ -503,7 +514,9 @@ class TestAnnealerGolden:
         assert (revenue.total.hex(), evaluations) == (total, evals)
 
         weights = slot_problem(scn, slot).weights
-        t_scale = sum(abs(w) for w in weights) / len(weights) or 1.0
+        # summed left to right: the builtin sum() compensates from 3.12 on
+        t_scale = functools.reduce(lambda acc, w: acc + abs(w), weights, 0.0)
+        t_scale = t_scale / len(weights) or 1.0
         level_kts = {
             params.boltzmann_k * ((params.t_init - level * params.alpha) * t_scale)
             for level in range(params.temperature_levels())
@@ -603,6 +616,15 @@ def test_guard_band_keeps_capacity_decisions_canonical(base, loads, boundary, ne
         assert revenue.total <= best
     row = SlotProblem(base, limit, loads, sbs_off_weights(scn, 0))
     assert_kernels_match_the_solvers(scn, row)
+
+
+def test_guard_band_load_scale_is_summed_left_to_right():
+    # 0.2 + 0.5 + 0.2 is 0.8999999999999999 left to right, but 0.9 with
+    # compensation, as the builtin sum() adds from 3.12 on
+    row = SlotProblem(0.7, 1.0, [0.2, 0.5, 0.2], [1.0, 1.0, 1.0])
+    rel, band = solvers._guard_band(row, 1)
+    assert rel == solvers.SA_GUARD_REL
+    assert band.hex() == "0x1.b7cdfd9d7bdbbp-30"
 
 
 class TestExhaustiveSearch:
