@@ -130,13 +130,25 @@ def runtime_scaling(
     return records
 
 
+# characters that a cell would have to be quoted for; cells are never quoted
+_CSV_SPECIALS = frozenset(',"\r\n')
+
+
 def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` and ``rows`` as comma-separated lines ending in
     ``\\n``, each cell through ``str``.  Every CSV the package writes goes
-    through here; callers pass floats as their ``repr``."""
+    through here; callers pass floats as their ``repr``.  Cells are not
+    quoted, so a cell that holds a comma, a double quote or a line break
+    raises ``ValueError`` before the file is opened."""
+    lines = []
+    for row in (header, *rows):
+        cells = [str(cell) for cell in row]
+        for cell in cells:
+            if not _CSV_SPECIALS.isdisjoint(cell):
+                raise ValueError(f"CSV cell {cell!r} holds a comma, a quote or a line break")
+        lines.append(",".join(cells) + "\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in (header, *rows):
-            fh.write(",".join(map(str, row)) + "\n")
+        fh.writelines(lines)
 
 
 def write_bench_csv(records: Sequence[BenchRecord], path) -> None:

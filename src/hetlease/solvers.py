@@ -148,6 +148,10 @@ class Method(enum.Enum):
 
     @classmethod
     def from_str(cls, token: str) -> "Method":
+        """The method a name or alias stands for; anything else, strings and
+        non-strings alike, raises ``ValueError``."""
+        if not isinstance(token, str):
+            raise ValueError(f"unknown method {token!r}")
         aliases = {
             "sa": cls.SA,
             "es": cls.ES,
@@ -300,6 +304,15 @@ def _anneal(row: SlotProblem, params: SaParams, rnd) -> tuple[int, int, int]:
     neighborhood stays non-empty, and only provably-empty steps are
     skipped.  The cache holds only neighborhoods that ran out of draws, so
     memory is O(N) for a walk on which every move fits.
+
+    A step that flips nothing, a swap of two equal bits drawn or cached as
+    ``(n, n)``, keeps the state without the value, accept and update work;
+    it still goes through the best check, the one place a state kicked to
+    after a level is judged.  When every mask fits, which holds exactly
+    when no contribution is negative and all-off's ascending sum is within
+    capacity, the first draw of every step fits and the cache stays empty:
+    the walk then skips the load test and keeps no load or load deltas.
+    Neither shortcut changes a decision or a draw.
     """
     base, cap, contrib, weights = row
     n = len(contrib)
@@ -342,6 +355,10 @@ def _anneal(row: SlotProblem, params: SaParams, rnd) -> tuple[int, int, int]:
     best, best_val = current, cur_val
     best_lo = best_val - tie
 
+    # every mask fits: with no negative term, no subset's ascending sum
+    # exceeds all-off's, as rounding is monotone; the walk then tracks no load
+    free = min(contrib) >= 0.0 and _ascending_sum((1 << n) - 1, base, contrib) <= cap
+
     nm1 = n - 1
     draws = range(_RETRY_DRAWS)
     skipped = 0
@@ -356,14 +373,15 @@ def _anneal(row: SlotProblem, params: SaParams, rnd) -> tuple[int, int, int]:
                     a = int(rnd() * n)
                     if kind == 0:
                         b = n
-                        lv = cur_load + dl[a]
                     else:
                         b = int(rnd() * nm1)
                         if b >= a:
                             b += 1
                         if kind == 2 and is_off[a] == is_off[b]:
                             a = b = n  # swap of equal bits: the state itself
-                        lv = cur_load + dl[a] + dl[b]
+                    if free:
+                        break
+                    lv = cur_load + dl[a] + dl[b]
                     if lv <= sure_fit:
                         break
                     if lv > sure_miss:
@@ -390,24 +408,31 @@ def _anneal(row: SlotProblem, params: SaParams, rnd) -> tuple[int, int, int]:
                     continue
                 a, b = moves[int(rnd() * len(moves))]
                 lv = cur_load + dl[a] + dl[b]
-            val = cur_val + dv[a] + dv[b]
-            gap = val - cur_val
-            if gap > tie:
-                accept = True
-            elif gap < -tie:
-                accept = _downhill_accept(cur_val, val, kt, rnd)
-            elif dv[a] == 0.0 and dv[b] == 0.0:
-                # an equal-bit swap or zero weights: the exact sum is unchanged
-                accept = True
+            if a == b:
+                # (n, n) flips nothing: the state stays, judged below for best
+                val, accept = cur_val, True
             else:
-                now = _ascending_sum(current, 0.0, weights)
-                then = _ascending_sum(current ^ bit[a] ^ bit[b], 0.0, weights)
-                accept = then >= now or _downhill_accept(now, then, kt, rnd)
-            if accept:
-                current ^= bit[a] ^ bit[b]
-                cur_load, cur_val = lv, val
-                dl[a], dv[a], is_off[a] = -dl[a], -dv[a], not is_off[a]
-                dl[b], dv[b], is_off[b] = -dl[b], -dv[b], not is_off[b]
+                val = cur_val + dv[a] + dv[b]
+                gap = val - cur_val
+                if gap > tie:
+                    accept = True
+                elif gap < -tie:
+                    accept = _downhill_accept(cur_val, val, kt, rnd)
+                elif dv[a] == 0.0 and dv[b] == 0.0:
+                    # zero weights: the exact sum is unchanged
+                    accept = True
+                else:
+                    now = _ascending_sum(current, 0.0, weights)
+                    then = _ascending_sum(current ^ bit[a] ^ bit[b], 0.0, weights)
+                    accept = then >= now or _downhill_accept(now, then, kt, rnd)
+                if accept:
+                    current ^= bit[a] ^ bit[b]
+                    cur_val = val
+                    dv[a], is_off[a] = -dv[a], not is_off[a]
+                    dv[b], is_off[b] = -dv[b], not is_off[b]
+                    if not free:
+                        cur_load = lv
+                        dl[a], dl[b] = -dl[a], -dl[b]
             if val >= best_lo:
                 cand = current if accept else current ^ bit[a] ^ bit[b]
                 if val > best_val + tie or (
@@ -568,7 +593,7 @@ def solve_day(
     returned vector against the canonical feasibility gate before
     accepting it into the result, and keeps that check's report.
     """
-    if isinstance(method, str):
+    if not isinstance(method, Method):
         method = Method.from_str(method)
 
     solve_slot = {

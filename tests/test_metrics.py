@@ -113,3 +113,12 @@ class TestBenchCsv:
             f"sa,4,700,11880,{0.1 + 0.2!r}\n"
         )
         assert path.read_text() == want
+
+    @pytest.mark.parametrize("method", ["a,b", 'say "sa"', "s\na", "s\ra"])
+    def test_cell_that_needs_quoting_is_rejected(self, tmp_path, method):
+        # cells are not quoted: "a,b" would make a six-field row
+        record = BenchRecord(method, 4, 1, 1, 0.5)
+        path = tmp_path / "bench.csv"
+        with pytest.raises(ValueError, match="comma, a quote or a line break"):
+            write_bench_csv([record], path)
+        assert not path.exists()

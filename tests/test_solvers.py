@@ -463,11 +463,68 @@ SA_TUNED = [
 ]
 
 
+# (scenario, slot, parameters, off mask, evaluations, skipped steps, rnd()
+# draws) of ``_anneal`` on the slot's knapsack row with ``_slot_rng(0,
+# slot)``, recorded from the annealer whose every step ran the value and
+# accept block, flips or not, and tracked the macro load on every slot.
+# On every b16 and b64 slot every mask fits; the draw count pins the walk
+# there, where every run reaches all-off.  The reference slots bind.
+SA_WALKS = [
+    ("b16", 0, "default", 0xffff, 47520, 0, 111102),
+    ("b16", 0, "tuned", 0xffff, 12864, 0, 30400),
+    ("b16", 60, "default", 0xffff, 47520, 0, 111079),
+    ("b16", 60, "tuned", 0xffff, 12864, 0, 30423),
+    ("b16", 100, "default", 0xffff, 47520, 0, 111444),
+    ("b16", 100, "tuned", 0xffff, 12864, 0, 30429),
+    ("b64", 12, "default", (1 << 64) - 1, 190080, 0, 443855),
+    ("b64", 12, "tuned", (1 << 64) - 1, 51456, 0, 121484),
+    ("ref", 0, "default", 0x17f, 34089, 1551, 98615),
+    ("ref", 66, "default", 0xe, 24731, 10909, 139731),
+]
+
+
+def anneal_counting_draws(row, params, slot):
+    """``_anneal`` on ``row`` with the slot's random stream, as (best
+    off-mask, evaluations, skipped steps, rnd() draws)."""
+    stream = solvers._slot_rng(params.rng_seed, slot).random
+    draws = 0
+
+    def rnd():
+        nonlocal draws
+        draws += 1
+        return stream()
+
+    return (*solvers._anneal(row, params, rnd), draws)
+
+
+# Rows at the edge of "every mask fits" (all contributions non-negative
+# and all-off's ascending sum within capacity), recorded like SA_WALKS on
+# slot 0 at the default parameters: (row, every mask fits, all-off fits,
+# off mask, evaluations, skipped steps, rnd() draws)
+EDGE_BASE, EDGE_CONTRIB = 0.1, [0.3, 0.2, 0.15, 0.1, 0.05]
+EDGE_CAP = solvers._ascending_sum((1 << 5) - 1, EDGE_BASE, EDGE_CONTRIB)
+EDGE_WEIGHTS = [0.5, 0.25, 0.75, 0.125, 0.375]
+FREE_EDGE_ROWS = [
+    # capacity equal to all-off's sum: all-off is the best
+    pytest.param(SlotProblem(EDGE_BASE, EDGE_CAP, EDGE_CONTRIB, EDGE_WEIGHTS),
+                 True, True, 0x1f, 14850, 0, 34811, id="at-cap"),
+    # one ulp lower: every mask but all-off fits
+    pytest.param(SlotProblem(EDGE_BASE, math.nextafter(EDGE_CAP, 0.0), EDGE_CONTRIB,
+                             EDGE_WEIGHTS),
+                 False, False, 0x17, 14773, 77, 36583, id="ulp-below"),
+    # a negative contribution: all-off sums to 0.4, but {0} alone to 0.6; a
+    # walk that took all-off's fit for every mask's would end at 0xd
+    pytest.param(SlotProblem(0.0, 0.5, [0.6, -0.5, 0.2, 0.1], [2.0, -1.0, 0.25, 0.25]),
+                 False, True, 0xf, 11880, 0, 34333, id="negative"),
+]
+
+
 class TestAnnealerGolden:
     @pytest.fixture(scope="class")
     def scenarios(self):
         return {
             "ref": reference_scenario(),
+            "b16": bench_scenario(16, 7),
             "b64": bench_scenario(64, 7),
             "tight16": tight_bench_scenario(),
             "dup6": build_tiny(
@@ -522,6 +579,42 @@ class TestAnnealerGolden:
             for level in range(params.temperature_levels())
         }
         assert kts and set(kts) <= level_kts
+
+    @pytest.mark.parametrize("name,slot,label,mask,evals,skipped,draws", SA_WALKS)
+    def test_matches_recorded_walk(self, scenarios, name, slot, label, mask, evals,
+                                   skipped, draws):
+        params = SaParams(**TUNED) if label == "tuned" else SaParams()
+        row = slot_problem(scenarios[name], slot)
+        assert anneal_counting_draws(row, params, slot) == (mask, evals, skipped, draws)
+
+    @pytest.mark.parametrize(
+        "row,every_fits,all_off_fits,mask,evals,skipped,draws", FREE_EDGE_ROWS
+    )
+    def test_matches_recorded_walk_at_the_edge_of_every_mask_fitting(
+        self, row, every_fits, all_off_fits, mask, evals, skipped, draws
+    ):
+        fits = [
+            solvers._ascending_sum(m, row.base, row.contrib) <= row.cap
+            for m in range(1 << len(row.contrib))
+        ]
+        assert (all(fits), fits[-1]) == (every_fits, all_off_fits)
+        assert anneal_counting_draws(row, SaParams(), 0) == (mask, evals, skipped, draws)
+        assert fits[mask]
+
+    def test_kicked_state_is_judged_for_best_on_a_step_that_stays(self, monkeypatch):
+        # {3} (2.5) is a trap: every move from it loses, and {0, 1, 2} (3.0)
+        # is three flips away.  Every draw is 0.99, so the first step climbs
+        # to {3} and every downhill move is rejected; the kick then lands on
+        # {0, 1, 2}, where every move that flips a bit loses or overflows
+        # and the swap neighbourhood holds only stays.  A stay is the only
+        # step that judges the state the walk is in.
+        monkeypatch.setattr(solvers, "_downhill_accept", lambda *args: False)
+        monkeypatch.setattr(solvers, "_kick", lambda mask, n, p, rnd: 0b0111)
+        row = SlotProblem(0.0, 1.0, [0.3, 0.3, 0.3, 1.0], [1.0, 1.0, 1.0, 2.5])
+        params = SaParams(t_init=2.0, t_final=0.5, alpha=1.0, k_factor=1)
+        assert params.temperature_levels() == 2
+        best, _, _ = solvers._anneal(row, params, lambda: 0.99)
+        assert best == 0b0111
 
     def test_tight_case_exercises_the_enumeration_fallback(self, scenarios, monkeypatch):
         calls = []
@@ -1182,6 +1275,13 @@ class TestSolveDay:
         scn = bench_scenario(4)
         with pytest.raises(ValueError):
             solve_day(scn, "downhill")
+
+    @pytest.mark.parametrize("token", [5, None, b"sa", Method])
+    def test_method_that_is_not_a_string_is_rejected(self, token):
+        with pytest.raises(ValueError, match="unknown method"):
+            Method.from_str(token)
+        with pytest.raises(ValueError, match="unknown method"):
+            solve_day(bench_scenario(4), token)
 
     @pytest.mark.parametrize(
         "token,method",
