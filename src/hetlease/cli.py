@@ -32,7 +32,6 @@ logger = logging.getLogger(__name__)
 
 OUT_DIR_ENV = "HETLEASE_OUT"
 DEFAULT_OUT = "hetlease_out"
-DEFAULT_BENCH_ES_LIMIT = 20
 
 
 def _fmt(value: float) -> str:
@@ -48,9 +47,9 @@ def _resolve_out(arg_out: str | None) -> Path:
 
 
 def _write_json(path: Path, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # strict JSON, serialized first: a non-finite value leaves no file
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_switches(path: Path, result: SolverResult) -> None:
@@ -70,22 +69,12 @@ def _day_totals(result: SolverResult) -> dict:
     }
 
 
-def _apply_overrides(config: dict, args) -> dict:
+def _scenario(args) -> Scenario:
+    config = load_config(args.config)
     if args.seed is not None:
         config["traffic"]["seed"] = args.seed
-    if args.pricing:
-        config["pricing"]["policy"] = args.pricing
-    if args.demand:
-        config["demand"]["mode"] = args.demand
-    if args.offload_mode:
-        config["offload_mode"] = args.offload_mode
-    return config
-
-
-def _scenario(args) -> Scenario:
-    config = _apply_overrides(load_config(args.config), args)
     # build_scenario validates again: that second check is the one that
-    # rejects a bad override, such as a negative --seed
+    # rejects a negative --seed
     return build_scenario(config)
 
 
@@ -166,18 +155,17 @@ def cmd_compare(args) -> int:
 
 def cmd_bench(args) -> int:
     out = _resolve_out(args.out)
-    es_limit = min(args.es_limit, ES_MAX_SBS)
     methods = [Method.from_str(m) for m in args.methods]
     notes = []
     records = []
     for n in args.n:
         if n < 1:
             raise ConfigError(f"benchmark size must be >= 1, got {n}")
-        run = [m for m in methods if m is not Method.ES or n <= es_limit]
+        run = [m for m in methods if m is not Method.ES or n <= ES_MAX_SBS]
         if len(run) < len(methods):
             note = (
                 f"es refused at n_sbs={n}: enumeration limited to "
-                f"{es_limit} SBSs (2^{n} states per slot)"
+                f"{ES_MAX_SBS} SBSs (2^{n} states per slot)"
             )
             notes += [note] * (len(methods) - len(run))
             logger.warning(note)
@@ -224,18 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario YAML")
         p.add_argument("--seed", type=int, default=None, help="override traffic/search seed")
         p.add_argument("--out", default=None, help=f"output dir (or ${OUT_DIR_ENV})")
-        p.add_argument(
-            "--pricing", choices=["fixed", "dynamic"], default=None,
-            help="override pricing policy",
-        )
-        p.add_argument(
-            "--demand", choices=["ndt", "dt"], default=None,
-            help="override demand mode",
-        )
-        p.add_argument(
-            "--offload-mode", choices=["direct", "capacity_scaled"], default=None,
-            help="override offload accounting",
-        )
 
     p_run = sub.add_parser("run", help="solve one scenario with one method")
     common(p_run)
@@ -254,10 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--methods", nargs="+", default=["es", "sa"])
     p_bench.add_argument("--seed", type=int, default=7)
     p_bench.add_argument("--out", default=None)
-    p_bench.add_argument(
-        "--es-limit", type=int, default=DEFAULT_BENCH_ES_LIMIT,
-        help=f"largest network exhaustive search will attempt (hard cap {ES_MAX_SBS})",
-    )
     p_bench.set_defaults(func=cmd_bench)
 
     p_mkt = sub.add_parser("market", help="secondary-network market report (sa + es)")

@@ -62,11 +62,10 @@ class BaseStation:
     zeta: float          # load-dependence slope of the amplifier
     p_tx: float          # max transmit power, W
     rb_capacity: int     # resource blocks per slot
-    bandwidth_mhz: float
     p_sleep: float | None = None   # sleep-mode draw, W; None only for the macro
 
     def __post_init__(self):
-        for name in ("p_o", "zeta", "p_tx", "bandwidth_mhz"):
+        for name in ("p_o", "zeta", "p_tx"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ConfigError(
@@ -94,23 +93,23 @@ def default_parameter_set() -> dict[BsKind, BaseStation]:
     return {
         BsKind.MACRO: BaseStation(
             kind=BsKind.MACRO, p_o=130.0, zeta=4.7, p_tx=20.0,
-            rb_capacity=100, bandwidth_mhz=20.0, p_sleep=None,
+            rb_capacity=100, p_sleep=None,
         ),
         BsKind.RRH: BaseStation(
             kind=BsKind.RRH, p_o=84.0, zeta=2.8, p_tx=20.0,
-            rb_capacity=75, bandwidth_mhz=15.0, p_sleep=56.0,
+            rb_capacity=75, p_sleep=56.0,
         ),
         BsKind.MICRO: BaseStation(
             kind=BsKind.MICRO, p_o=56.0, zeta=2.6, p_tx=6.3,
-            rb_capacity=50, bandwidth_mhz=10.0, p_sleep=39.0,
+            rb_capacity=50, p_sleep=39.0,
         ),
         BsKind.PICO: BaseStation(
             kind=BsKind.PICO, p_o=6.8, zeta=4.0, p_tx=0.13,
-            rb_capacity=25, bandwidth_mhz=5.0, p_sleep=4.3,
+            rb_capacity=25, p_sleep=4.3,
         ),
         BsKind.FEMTO: BaseStation(
             kind=BsKind.FEMTO, p_o=4.8, zeta=8.0, p_tx=0.05,
-            rb_capacity=15, bandwidth_mhz=3.0, p_sleep=2.9,
+            rb_capacity=15, p_sleep=2.9,
         ),
     }
 
@@ -352,16 +351,25 @@ class Scenario:
         p_o = np.array([bs.p_o for bs in stations])
         zeta = np.array([bs.zeta for bs in stations])
         p_tx = np.array([bs.p_tx for bs in stations])
-        active_power = p_o + loads * zeta * p_tx
-        allon = active_power[:, 0].copy()
-        for i in range(1, len(stations)):
-            allon += active_power[:, i]
         sleep = np.array([bs.p_sleep for bs in stations[1:]], dtype=np.float64)
         factor = self.grid.slot_min / WATT_MIN_PER_KWH
-        lease = demand.T * self.spectrum[:, None]
-        weights = (
-            active_power[:, 1:] - sleep - contrib * zeta[0] * p_tx[0]
-        ) * factor * self.electricity[:, None] + lease
+        # huge prices or powers overflow here, and the slot is rejected
+        # below: each weight adds its SBS's power terms and leasing income
+        with np.errstate(over="ignore", invalid="ignore"):
+            active_power = p_o + loads * zeta * p_tx
+            allon = active_power[:, 0].copy()
+            for i in range(1, len(stations)):
+                allon += active_power[:, i]
+            lease = demand.T * self.spectrum[:, None]
+            weights = (
+                active_power[:, 1:] - sleep - contrib * zeta[0] * p_tx[0]
+            ) * factor * self.electricity[:, None] + lease
+        finite = np.isfinite(allon) & np.isfinite(weights).all(axis=1)
+        if not finite.all():
+            raise ConfigError(
+                f"slot {int(np.argmin(finite))}: all-on power, leasing income "
+                "or a revenue weight is not finite"
+            )
 
         def rows(table: np.ndarray) -> list[array]:
             # one conversion, then a slice per row: half the cost of

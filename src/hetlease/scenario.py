@@ -23,8 +23,9 @@ from __future__ import annotations
 import copy
 import csv
 import logging
+import math
 import numbers
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -138,12 +139,18 @@ def ingest_activity_csv(
                 raise CsvFormatError(
                     f"line {lineno}: slot_index {slot} outside [0, {num_slots})"
                 )
+            if not math.isfinite(activity):
+                raise CsvFormatError(f"line {lineno}: activity {activity!r} is not finite")
             if activity < 0:
                 raise CsvFormatError(f"line {lineno}: negative activity")
             station = assignment.get(grid_id)
             if station is None:
                 continue  # grid not part of this scenario
-            series[station, slot] += activity
+            # a float sum: inf on overflow, where a numpy scalar would warn
+            total = float(series[station, slot]) + activity
+            if total == math.inf:
+                raise CsvFormatError(f"line {lineno}: station {station}'s slot {slot} overflows")
+            series[station, slot] = total
             seen[grid_id].add(slot)
 
     for grid, slots in seen.items():
@@ -342,9 +349,8 @@ _CONFIG_DEFAULTS: dict = {
     "mbs_capacity_limit": 1.0,
 }
 
-_STATION_OVERRIDES = {
-    "p_o", "zeta", "p_tx", "p_sleep", "rb_capacity", "bandwidth_mhz",
-}
+# every BaseStation field but its kind can be set per station
+_STATION_OVERRIDES = frozenset(f.name for f in fields(BaseStation)) - {"kind"}
 
 
 def _merge_section(defaults: dict, given: dict, path: str) -> dict:

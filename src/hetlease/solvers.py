@@ -148,23 +148,11 @@ class Method(enum.Enum):
 
     @classmethod
     def from_str(cls, token: str) -> "Method":
-        """The method a name or alias stands for; anything else, strings and
-        non-strings alike, raises ``ValueError``."""
-        if not isinstance(token, str):
-            raise ValueError(f"unknown method {token!r}")
-        aliases = {
-            "sa": cls.SA,
-            "es": cls.ES,
-            "atype": cls.A_TYPE,
-            "a-type": cls.A_TYPE,
-            "a": cls.A_TYPE,
-            "dtype": cls.D_TYPE,
-            "d-type": cls.D_TYPE,
-            "d": cls.D_TYPE,
-        }
+        """The method named ``token``, exactly one of ``sa``, ``es``,
+        ``atype`` and ``dtype``; anything else raises ``ValueError``."""
         try:
-            return aliases[token.strip().lower()]
-        except KeyError:
+            return cls(token)
+        except ValueError:
             raise ValueError(f"unknown method {token!r}") from None
 
 

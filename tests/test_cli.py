@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import pytest
 
@@ -16,7 +18,7 @@ from hetlease import (
     validate_config,
 )
 from hetlease import feasibility
-from hetlease.cli import main
+from hetlease.cli import _write_json, main
 
 # an integer too large for a double
 HUGE = "1" * 401
@@ -246,13 +248,14 @@ def test_bench_records_every_size_method_pair(tmp_path):
 
 
 def test_bench_refuses_oversized_enumeration(tmp_path, caplog):
+    # ES_MAX_SBS is 24: the solver's own cap is bench's one limit
     out = tmp_path / "bench"
-    assert main(["bench", "--n", "4", "--methods", "es", "sa",
-                 "--es-limit", "3", "--out", str(out)]) == 0
+    assert main(["bench", "--n", "25", "--methods", "es", "dtype",
+                 "--out", str(out)]) == 0
     _, rows = read_rows(out / "bench.csv")
-    assert [(row[0], row[1]) for row in rows] == [("sa", "4")]
+    assert [(row[0], row[1]) for row in rows] == [("dtype", "25")]
     notes = (out / "bench_notes.txt").read_text()
-    assert "es refused at n_sbs=4" in notes
+    assert "es refused at n_sbs=25" in notes
 
 
 def test_market_reports_both_solvers(small_config, tmp_path):
@@ -332,8 +335,7 @@ def test_unknown_method_is_an_error(small_config, tmp_path, capsys):
         ("stations: [{kind: macro}, {kind: micro, p_o: .nan}]", "p_o"),
         ("stations: [{kind: macro}, {kind: micro, zeta: .inf}]", "zeta"),
         ("stations: [{kind: macro}, {kind: micro, p_tx: .nan}]", "p_tx"),
-        ("stations: [{kind: macro, bandwidth_mhz: .nan}]", "bandwidth_mhz"),
-        ("stations: [{kind: macro}, {kind: micro, bandwidth_mhz: .inf}]", "bandwidth_mhz"),
+        ("stations: [{kind: macro, bandwidth_mhz: 20}]", "unknown fields ['bandwidth_mhz']"),
         pytest.param(
             f"pricing: {{fixed_electricity: {HUGE}}}", "pricing.fixed_electricity",
             id="huge-fixed_electricity",
@@ -363,6 +365,52 @@ def test_mistyped_config_value_is_a_one_line_error(tmp_path, capsys, yaml_text, 
     assert len(err) == 1
     assert err[0].startswith("error:")
     assert key in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--pricing", "dynamic"],
+        ["compare", "--demand", "dt"],
+        ["market", "--offload-mode", "direct"],
+        ["bench", "--es-limit", "3"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_option_that_shadows_a_setting_is_unknown(small_config, tmp_path, capsys, argv):
+    # pricing, demand and offload mode are config keys; es's cap is ES_MAX_SBS
+    command, *option = argv
+    if command != "bench":
+        option += ["--config", str(small_config)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *option, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method", ["dtype", "sa", "es"])
+def test_price_that_overflows_a_slot_is_a_one_line_error(tmp_path, capsys, method):
+    config = reference_config()
+    config["pricing"]["fixed_spectrum"] = 1e307
+    path = tmp_path / "dear.yaml"
+    save_config(config, path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", str(path), "--method", method, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: slot \d+: .* not finite", err[0])
+    assert not out.exists()
+
+
+def test_summary_is_strict_json(tmp_path):
+    path = tmp_path / "summary.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_json(path, {"daily_total": math.inf})
+    assert not path.exists()
 
 
 def test_negative_seed_option_is_a_one_line_error(small_config, tmp_path, capsys):

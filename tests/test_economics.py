@@ -72,9 +72,9 @@ class TestEnergyRevenue:
         # 600 W for a 10-minute slot is 0.1 kWh
         custom = (
             BaseStation(kind=BsKind.MACRO, p_o=130.0, zeta=4.7, p_tx=20.0,
-                        rb_capacity=100, bandwidth_mhz=20.0),
+                        rb_capacity=100),
             BaseStation(kind=BsKind.MICRO, p_o=800.0, zeta=2.6, p_tx=6.3,
-                        rb_capacity=50, bandwidth_mhz=10.0, p_sleep=200.0),
+                        rb_capacity=50, p_sleep=200.0),
         )
         scn = build_tiny([[0.0, 0.0]], stations=custom, elec=0.1293)
         assert power_saving_slot(scn, 0, switch_off(1, 1)) == pytest.approx(600.0)

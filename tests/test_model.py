@@ -3,6 +3,7 @@ import math
 import random
 import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -56,21 +57,21 @@ class TestBaseStationValidation:
         with pytest.raises(ConfigError):
             BaseStation(
                 kind=BsKind.MICRO, p_o=-1.0, zeta=2.6, p_tx=6.3,
-                rb_capacity=50, bandwidth_mhz=10.0, p_sleep=39.0,
+                rb_capacity=50, p_sleep=39.0,
             )
 
     def test_rejects_sleep_above_idle(self):
         with pytest.raises(ConfigError):
             BaseStation(
                 kind=BsKind.MICRO, p_o=56.0, zeta=2.6, p_tx=6.3,
-                rb_capacity=50, bandwidth_mhz=10.0, p_sleep=56.0,
+                rb_capacity=50, p_sleep=56.0,
             )
 
     def test_small_cell_needs_sleep_power(self):
         with pytest.raises(ConfigError):
             BaseStation(
                 kind=BsKind.PICO, p_o=6.8, zeta=4.0, p_tx=0.13,
-                rb_capacity=25, bandwidth_mhz=5.0,
+                rb_capacity=25,
             )
 
     def test_macro_sleep_is_optional(self):
@@ -272,6 +273,25 @@ class TestScenarioValidation:
         # a micro owns 50 RBs, so 60 can never be leased from it
         with pytest.raises(ConfigError):
             build_tiny([[0.1, 0.1]], demand=[60])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # slot 1 leases 20 blocks at 1e307: an infinite income
+            dict(demand=[[1, 20, 20]], spectrum=1e307),
+            # the micro's draw overflows once it carries load, from slot 1
+            dict(stations=(
+                PARAMS[BsKind.MACRO],
+                dataclasses.replace(PARAMS[BsKind.MICRO], zeta=1e10, p_tx=1e300),
+            )),
+        ],
+        ids=["leasing", "power"],
+    )
+    def test_slot_that_overflows_is_rejected_by_name(self, kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="^slot 1: .* not finite$"):
+                build_tiny([[0.1, 0.0], [0.2, 0.2], [0.3, 0.3]], **kwargs)
 
     def test_zero_sbs_network_is_legal(self):
         scn = build_tiny([[0.3]])

@@ -1,5 +1,6 @@
 import logging
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,23 @@ class TestIngestCsv:
         path = self.write(tmp_path, "1,0,2.0\n")
         with pytest.raises(ConfigError, match="never appears"):
             ingest_activity_csv(path, {1: 0, 2: 1}, 2, 1)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_activity_names_its_line(self, tmp_path, value):
+        path = self.write(tmp_path, f"1,0,2.0\n1,1,{value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match="^line 3: activity .* is not finite$"):
+                ingest_activity_csv(path, {1: 0}, 1, 2)
+
+    def test_slot_total_that_overflows_names_its_line(self, tmp_path):
+        path = self.write(tmp_path, "1,0,1e308\n2,1,1.0\n1,0,1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                CsvFormatError, match="^line 4: station 0's slot 0 overflows$"
+            ):
+                ingest_activity_csv(path, {1: 0, 2: 0}, 1, 2)
 
     def test_missing_slots_fill_zero_and_warn(self, tmp_path, caplog):
         path = self.write(tmp_path, "1,0,2.0\n")
@@ -345,6 +363,17 @@ class TestConfig:
         )
         with pytest.raises(ConfigError, match=re.escape(message)):
             build_scenario(config)
+
+    def test_price_that_overflows_a_slot_names_the_slot(self):
+        config = reference_config()
+        config["pricing"]["fixed_spectrum"] = 1e307
+        # the first slot with a demand of 18 blocks or more, whose income
+        # at 1e307 per block exceeds the largest double
+        first = int(np.argmax(reference_scenario().sn_demand.max(axis=0) >= 18))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"^slot {first}: .* not finite$"):
+                build_scenario(config)
 
     def test_round_trip_through_yaml(self, tmp_path):
         config = reference_config(pricing="dynamic", demand_mode="dt")

@@ -1285,7 +1285,15 @@ class TestSolveDay:
 
     @pytest.mark.parametrize(
         "token,method",
-        [("sa", Method.SA), ("a-type", Method.A_TYPE), ("D", Method.D_TYPE), ("es", Method.ES)],
+        [
+            ("sa", Method.SA), ("es", Method.ES), ("atype", Method.A_TYPE),
+            ("dtype", Method.D_TYPE), ("a-type", None), ("D", None), (" sa ", None),
+        ],
     )
     def test_method_aliases(self, token, method):
-        assert Method.from_str(token) is method
+        # each method has one spelling, its value; no alias, case or padding
+        if method is None:
+            with pytest.raises(ValueError, match="unknown method"):
+                Method.from_str(token)
+        else:
+            assert Method.from_str(token) is method
