@@ -105,7 +105,6 @@ def runtime_scaling(
     n_values: Sequence[int],
     methods: Sequence[Method | str],
     seed: int = 7,
-    params: SaParams | None = None,
 ) -> list[BenchRecord]:
     """Solve one full day per (network size, method) and record the cost.
 
@@ -117,7 +116,7 @@ def runtime_scaling(
     for n in n_values:
         scn = bench_scenario(n, seed)
         for method in methods:
-            result = solve_day(scn, method, params)
+            result = solve_day(scn, method)
             records.append(
                 BenchRecord(
                     method=result.method,

@@ -447,7 +447,12 @@ class SolverResult:
 
 
 def daily_breakdown(per_slot: Sequence[RevenueBreakdown]) -> RevenueBreakdown:
-    """Sum per-slot revenue into a daily figure with compensated addition."""
-    energy = math.fsum(r.energy for r in per_slot)
-    leasing = math.fsum(r.leasing for r in per_slot)
-    return RevenueBreakdown(energy, leasing)
+    """Sum per-slot revenue into a daily figure with compensated addition;
+    a stream whose sum passes the largest double raises ``ValueError``."""
+    sums = []
+    for stream in ("energy", "leasing"):
+        try:
+            sums.append(math.fsum(getattr(r, stream) for r in per_slot))
+        except OverflowError:
+            raise ValueError(f"daily {stream} revenue overflows a double") from None
+    return RevenueBreakdown(*sums)

@@ -71,9 +71,7 @@ def _read_yaml(path):
 
 # --- traffic -------------------------------------------------------------
 
-def synth_traffic(
-    seed: int, num_slots: int, num_stations: int, profile: str = "diurnal"
-) -> np.ndarray:
+def synth_traffic(seed: int, num_slots: int, num_stations: int) -> np.ndarray:
     """Reproducible synthetic activity, one row per station.
 
     Each station gets a circular diurnal bump (afternoon peak, overnight
@@ -81,8 +79,6 @@ def synth_traffic(
     noise.  Values are raw non-negative activity, not yet normalized.
     Deterministic per (seed, station index).
     """
-    if profile != "diurnal":
-        raise ConfigError(f"unknown traffic profile {profile!r}")
     if num_slots < 1 or num_stations < 1:
         raise ConfigError("need at least one slot and one station")
     hours = (np.arange(num_slots) + 0.5) * (24.0 / num_slots)
@@ -290,6 +286,9 @@ def _build_pricing(
     electricity = float(pcfg["fixed_electricity"])
     spectrum = float(pcfg["fixed_spectrum"])
     m_min, m_max = float(pcfg["spectrum_m_min"]), float(pcfg["spectrum_m_max"])
+    for key, value in (("spectrum_m_min", m_min), ("spectrum_m_max", m_max)):
+        if not math.isfinite(value):
+            raise ConfigError(f"pricing.{key} must be finite, got {value!r}")
     if electricity <= 0 or spectrum <= 0:
         raise ConfigError("flat prices must be positive")
     if not 0 < m_min <= m_max:
@@ -331,7 +330,6 @@ _CONFIG_DEFAULTS: dict = {
     "traffic": {
         "source": "synthetic",
         "seed": 0,
-        "profile": "diurnal",
         "scale": None,          # optional per-station factors in (0, 1]
         "csv_path": None,
         "assignment": None,     # grid id -> station index, csv source only
@@ -469,9 +467,7 @@ def build_scenario(config: dict) -> Scenario:
 
     tcfg = config["traffic"]
     if tcfg["source"] == "synthetic":
-        raw = synth_traffic(
-            int(tcfg["seed"]), grid.num_slots, num_stations, tcfg["profile"]
-        )
+        raw = synth_traffic(int(tcfg["seed"]), grid.num_slots, num_stations)
     elif tcfg["source"] == "csv":
         if not tcfg["csv_path"] or not tcfg["assignment"]:
             raise ConfigError("csv traffic needs csv_path and assignment")
@@ -485,6 +481,11 @@ def build_scenario(config: dict) -> Scenario:
     traffic = normalize_series(raw, tcfg["scale"])
 
     electricity, spectrum = _build_pricing(config["pricing"], traffic, grid.num_slots)
+
+    try:
+        offload_mode = OffloadMode(config["offload_mode"])
+    except ValueError:
+        raise ConfigError(f"unknown offload_mode {config['offload_mode']!r}") from None
 
     dcfg = config["demand"]
     sn_demand = sn_demand_from_pn(traffic[1:], stations[1:], float(dcfg["beta"]))
@@ -500,7 +501,7 @@ def build_scenario(config: dict) -> Scenario:
         sn_demand=sn_demand,
         electricity=electricity,
         spectrum=spectrum,
-        offload_mode=OffloadMode(config["offload_mode"]),
+        offload_mode=offload_mode,
         mbs_capacity_limit=float(config["mbs_capacity_limit"]),
         config=config,
     )

@@ -27,6 +27,7 @@ import sys
 import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .economics import _energy_revenue, _network_power, energy_factor, slot_problem
 from .economics import SlotProblem, total_revenue_slot
@@ -85,57 +86,35 @@ def _ascending_sums(n: int, start: float, terms: Sequence[float]) -> Iterator[fl
         yield from block
 
 
+# The annealing schedule.  Cooling is linear: level i runs at temperature
+# SA_T_INIT - i x SA_ALPHA, in units of the slot's mean |weight| (1.0 when
+# every weight is 0), for the 99 levels that stay above 0.01.  Each level
+# runs SA_K_FACTOR x N iterations, each trying the three neighborhoods in
+# order, then restarts from the best state with each bit flipped with
+# probability SA_SHAKE_FLIP_PROB.
+SA_T_INIT = 1.0
+SA_ALPHA = 0.01
+SA_LEVELS = 99
+SA_K_FACTOR = 10
+SA_SHAKE_FLIP_PROB = 0.2
+
+
 @dataclass(frozen=True)
 class SaParams:
-    """Annealing schedule and acceptance parameters.
+    """The annealer's one setting, the seed of its per-slot random streams.
 
-    Cooling is linear: the temperature starts at ``t_init`` and drops by
-    ``alpha`` after every level until it would reach ``t_final``.  Each
-    level runs ``k_factor * N`` local iterations, and each iteration
-    tries all three neighborhoods in a fixed order.  ``t_init``,
-    ``t_final`` and ``alpha`` are in units of the slot's mean |weight|
-    (1.0 when every weight is 0): ``sa_solve_slot`` multiplies each
-    level's temperature by that scale.  The float fields, and the level
-    count's (t_init - t_final) / alpha, must be finite, and ``k_factor``
-    an integer.
+    The schedule is fixed (``SA_T_INIT`` and the constants after it), and
+    the Boltzmann constant is 1: kT is the temperature.  ``rng_seed`` must
+    be an integer (a bool is not); two equal seeds give the same walks.
     """
 
-    t_init: float = 1.0
-    t_final: float = 0.01
-    alpha: float = 0.01
-    k_factor: int = 10
-    boltzmann_k: float = 1.0
-    shake_flip_prob: float = 0.2
+    boltzmann_k: ClassVar[float] = 1.0
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("t_init", "t_final", "alpha", "boltzmann_k", "shake_flip_prob"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        k = self.k_factor
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-            raise ValueError("k_factor must be an integer")
-        if not self.t_init > self.t_final > 0:
-            raise ValueError("need t_init > t_final > 0")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.k_factor < 1:
-            raise ValueError("k_factor must be at least 1")
-        if self.boltzmann_k <= 0:
-            raise ValueError("boltzmann_k must be positive")
-        if not 0.0 <= self.shake_flip_prob <= 1.0:
-            raise ValueError("shake_flip_prob must lie in [0, 1]")
-        if not math.isfinite((self.t_init - self.t_final) / self.alpha):
-            raise ValueError("(t_init - t_final) / alpha must be finite")
-
-    def temperature_levels(self) -> int:
-        """Number of temperature levels the cooling loop executes.
-
-        Defaults give ceil((1 - 0.01) / 0.01) = 99 levels; the epsilon
-        guards against float noise flipping the ceiling.
-        """
-        span = (self.t_init - self.t_final) / self.alpha
-        return max(0, math.ceil(span - 1e-9))
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError(f"rng_seed must be an integer, got {seed!r}")
 
 
 class Method(enum.Enum):
@@ -200,11 +179,11 @@ def _kick(mask: int, n: int, p: float, rnd) -> int:
     return mask
 
 
-def _kt(boltzmann_k: float, temperature: float) -> float:
-    """kT = ``boltzmann_k`` x ``temperature``, floored at the least positive
-    double, so a product that underflows rejects every downhill move
-    instead of dividing by zero; every positive product is kept as is."""
-    return max(boltzmann_k * temperature, math.ulp(0.0))
+def _kt(temperature: float) -> float:
+    """kT, the temperature floored at the least positive double, so a
+    temperature that underflows rejects every downhill move instead of
+    dividing by zero; every positive temperature is kept as is."""
+    return max(temperature, math.ulp(0.0))
 
 
 def _downhill_accept(current: float, candidate: float, kt: float, rnd) -> bool:
@@ -221,13 +200,15 @@ def metropolis_accept(
     rng: random.Random,
 ) -> bool:
     """Accept a candidate: always if it does not lose revenue, otherwise
-    with probability exp(-gap / (K * temperature)) from one uniform draw."""
-    if temperature <= 0:
+    with probability exp(-gap / (K * temperature)) from one uniform draw,
+    where K is ``params.boltzmann_k`` (1).  A temperature that is not
+    positive, NaN included, raises ``ValueError``."""
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
     if candidate_revenue >= current_revenue:
         return True
     return _downhill_accept(
-        current_revenue, candidate_revenue, _kt(params.boltzmann_k, temperature), rng.random
+        current_revenue, candidate_revenue, _kt(temperature), rng.random
     )
 
 
@@ -255,9 +236,9 @@ def _priced(
     return switch, total_revenue_slot(scenario, slot, switch), evaluations
 
 
-def _anneal(row: SlotProblem, params: SaParams, rnd) -> tuple[int, int, int]:
-    """The annealing walk on one knapsack row, drawing from ``rnd``; returns
-    (best off-mask, evaluations, skipped steps).
+def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
+    """The annealing walk on one knapsack row at the fixed schedule, drawing
+    from ``rnd``; returns (best off-mask, evaluations, skipped steps).
 
     The walk starts from all-on, which always fits.  Each evaluation costs
     O(1) work: two delta lists hold the signed change of macro load and of
@@ -307,10 +288,9 @@ def _anneal(row: SlotProblem, params: SaParams, rnd) -> tuple[int, int, int]:
     if n == 0:
         return 0, 0, 0
 
-    k = params.k_factor * n
+    k = SA_K_FACTOR * n
     # the neighborhood of every step of a level, in order
     steps = ((0, 1, 2) if n >= 2 else (0,)) * k
-    levels = params.temperature_levels()
 
     # a level makes fewer than n + 6k + 2 additions to a tracked sum
     rel, band = _guard_band(row, n + 6 * k + 2)
@@ -351,9 +331,8 @@ def _anneal(row: SlotProblem, params: SaParams, rnd) -> tuple[int, int, int]:
     draws = range(_RETRY_DRAWS)
     skipped = 0
 
-    for level in range(levels):
-        temperature = (params.t_init - level * params.alpha) * t_scale
-        kt = _kt(params.boltzmann_k, temperature)
+    for level in range(SA_LEVELS):
+        kt = _kt((SA_T_INIT - level * SA_ALPHA) * t_scale)
         for kind in steps:
             moves = cache.get((current << 2) | kind) if cache else None
             if moves is None:
@@ -432,10 +411,10 @@ def _anneal(row: SlotProblem, params: SaParams, rnd) -> tuple[int, int, int]:
                     best, best_val = cand, max(val, best_val)
                     best_lo = best_val - tie
         # diversify: restart the walk from a kicked copy of the best
-        current = _kick(best, n, params.shake_flip_prob, rnd)
+        current = _kick(best, n, SA_SHAKE_FLIP_PROB, rnd)
         cur_load, cur_val = rebuild(current)
 
-    return best, levels * len(steps) - skipped, skipped
+    return best, SA_LEVELS * len(steps) - skipped, skipped
 
 
 def sa_solve_slot(
@@ -446,16 +425,16 @@ def sa_solve_slot(
     """Simulated annealing over one slot's switch lattice.
 
     Runs ``_anneal`` on the slot's knapsack row with the slot's own random
-    stream.  The search walks on the additive per-SBS revenue weights (an
-    exact linear decomposition of the objective); the winner is re-priced
-    through the canonical objective.  Temperatures are in units of the
-    slot's mean |weight| (1.0 when every weight is 0), so the schedule
-    means the same at every revenue scale.
+    stream, seeded from ``params.rng_seed``.  The search walks on the
+    additive per-SBS revenue weights (an exact linear decomposition of the
+    objective); the winner is re-priced through the canonical objective.
+    Temperatures are in units of the slot's mean |weight| (1.0 when every
+    weight is 0), so the schedule means the same at every revenue scale.
 
     Args:
         scenario: problem instance.
         slot: slot index in range(scenario.num_slots).
-        params: annealing parameters; defaults to SaParams().
+        params: the annealer's seed; defaults to SaParams(), seed 0.
 
     Returns:
         (best switch, canonical revenue, objective evaluations).
@@ -463,9 +442,7 @@ def sa_solve_slot(
     if params is None:
         params = SaParams()
     row = slot_problem(scenario, slot)
-    best, evaluations, skipped = _anneal(
-        row, params, _slot_rng(params.rng_seed, slot).random
-    )
+    best, evaluations, skipped = _anneal(row, _slot_rng(params.rng_seed, slot).random)
     if skipped:
         logger.debug(
             "slot %d: %d neighborhood steps had no feasible move", slot, skipped

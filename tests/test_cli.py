@@ -336,6 +336,9 @@ def test_unknown_method_is_an_error(small_config, tmp_path, capsys):
         ("stations: [{kind: macro}, {kind: micro, zeta: .inf}]", "zeta"),
         ("stations: [{kind: macro}, {kind: micro, p_tx: .nan}]", "p_tx"),
         ("stations: [{kind: macro, bandwidth_mhz: 20}]", "unknown fields ['bandwidth_mhz']"),
+        ("pricing: {policy: dynamic, spectrum_m_max: .inf}", "pricing.spectrum_m_max"),
+        ("pricing: {spectrum_m_min: .nan}", "pricing.spectrum_m_min"),
+        ("offload_mode: foo", "unknown offload_mode 'foo'"),
         pytest.param(
             f"pricing: {{fixed_electricity: {HUGE}}}", "pricing.fixed_electricity",
             id="huge-fixed_electricity",
@@ -403,6 +406,28 @@ def test_price_that_overflows_a_slot_is_a_one_line_error(tmp_path, capsys, metho
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert re.fullmatch(r"error: slot \d+: .* not finite", err[0])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--method", "dtype"], ["run", "--method", "sa"], ["run", "--method", "es"],
+     ["compare", "--methods", "dtype", "atype"]],
+    ids=["run-dtype", "run-sa", "run-es", "compare"],
+)
+def test_day_that_overflows_is_a_one_line_error(tmp_path, capsys, argv):
+    # every slot's revenue is finite, but the day's leasing sum is not
+    config = reference_config()
+    config["pricing"]["fixed_spectrum"] = 1e305
+    path = tmp_path / "dear.yaml"
+    save_config(config, path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--config", str(path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: daily leasing revenue overflows a double"]
     assert not out.exists()
 
 

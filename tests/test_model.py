@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import random
 import re
@@ -249,6 +250,15 @@ class TestRevenueBreakdown:
         assert day == RevenueBreakdown(0.0, 0.0)
         assert day.total == 0.0
 
+    @pytest.mark.parametrize("stream", ["energy", "leasing"])
+    def test_day_that_overflows_names_its_stream(self, stream):
+        # each slot is finite, but two of them pass the largest double
+        slot = {"energy": 1.0, "leasing": 1.0, stream: 1e308}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"daily {stream} revenue overflows"):
+                daily_breakdown([RevenueBreakdown(**slot)] * 2)
+
 
 class TestScenarioValidation:
     def test_macro_must_be_first(self):
@@ -402,3 +412,16 @@ def test_public_surface():
     }
     assert exported == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 50
+
+
+def test_settable_values():
+    # the annealer's one setting is its seed; the schedule is fixed, and the
+    # synthetic traffic has one shape
+    assert [f.name for f in dataclasses.fields(hetlease.SaParams)] == ["rng_seed"]
+    assert hetlease.SaParams().boltzmann_k == 1.0
+    assert list(hetlease.validate_config({})["traffic"]) == [
+        "source", "seed", "scale", "csv_path", "assignment"
+    ]
+    assert list(inspect.signature(hetlease.runtime_scaling).parameters) == [
+        "n_values", "methods", "seed"
+    ]

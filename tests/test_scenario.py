@@ -59,8 +59,9 @@ class TestSynthTraffic:
         assert trough_hour <= 9 or trough_hour >= 22
 
     def test_unknown_profile(self):
-        with pytest.raises(ConfigError):
-            synth_traffic(0, 144, 1, profile="square")
+        # the synthetic traffic has one shape, so there is no key to pick it
+        with pytest.raises(ConfigError, match="unknown config key traffic.'profile'"):
+            validate_config({"traffic": {"profile": "diurnal"}})
 
 
 class TestIngestCsv:

@@ -73,10 +73,11 @@ def moves_from_the_optimum(monkeypatch, contrib, cap, positive=0, seed=0):
     the others, so the optimum is ``positive`` and every move from it loses
     exactly the sum of 2^j over the cells it flips.  The downhill Metropolis
     rule is replaced by one that records that loss and rejects: once at
-    the optimum the walk stays there, and with ``shake_flip_prob`` 0 every
-    level restarts from it.  From the optimum each one-cell and two-cell
-    step is recorded; a swap is recorded only when it exchanges cells of
-    both kinds.
+    the optimum the walk stays there, and with the shake's flip probability
+    patched to 0 every level restarts from it (the kick still draws once
+    per bit, so the random stream is unchanged).  From the optimum each
+    one-cell and two-cell step is recorded; a swap is recorded only when it
+    exchanges cells of both kinds.
     """
     n = len(contrib)
     weights = [float(1 << j) if positive >> j & 1 else -float(1 << j) for j in range(n)]
@@ -95,9 +96,9 @@ def moves_from_the_optimum(monkeypatch, contrib, cap, positive=0, seed=0):
     real_pairs = solvers._neighborhood_pairs
     monkeypatch.setattr(solvers, "_downhill_accept", record_and_reject)
     monkeypatch.setattr(solvers, "_neighborhood_pairs", counting_pairs)
-    params = SaParams(shake_flip_prob=0.0, rng_seed=seed)
+    monkeypatch.setattr(solvers, "SA_SHAKE_FLIP_PROB", 0.0)
     row = SlotProblem(0.0, cap, contrib, weights)
-    best, evaluations, _ = solvers._anneal(row, params, solvers._slot_rng(seed, 0).random)
+    best, evaluations, _ = solvers._anneal(row, solvers._slot_rng(seed, 0).random)
     assert best == positive
     return drawn, enumerated, evaluations
 
@@ -257,16 +258,22 @@ class TestMetropolis:
         with pytest.raises(ValueError):
             metropolis_accept(1.0, 0.5, 0.0, SaParams(), rng)
 
+    def test_nan_temperature_is_rejected(self):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            metropolis_accept(1.0, 0.5, math.nan, SaParams(), random.Random(13))
+
     def test_underflowing_kt_rejects_a_downhill_move(self):
-        # K x temperature underflows to 0; kT is floored as the annealer's is
-        params = SaParams(boltzmann_k=0.5)
+        # at the least positive temperature exp(-gap / kT) underflows to 0
+        params = SaParams()
         assert not metropolis_accept(1.0, 0.5, 5e-324, params, random.Random(0))
         assert metropolis_accept(1.0, 1.0, 5e-324, params, random.Random(0))
 
 
 class TestSaParams:
     def test_default_schedule_has_99_levels(self):
-        assert SaParams().temperature_levels() == 99
+        # ceil((1 - 0.01) / 0.01): the levels whose temperature stays above 0.01
+        assert solvers.SA_LEVELS == 99
+        assert solvers.SA_T_INIT - (solvers.SA_LEVELS - 1) * solvers.SA_ALPHA > 0.01
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -279,7 +286,9 @@ class TestSaParams:
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # the schedule is fixed: none of its former fields is accepted
+        field = next(iter(kwargs))
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
             SaParams(**kwargs)
 
     @pytest.mark.parametrize(
@@ -298,13 +307,22 @@ class TestSaParams:
     def test_non_finite_floats_and_non_integer_k_factor_name_the_field(
         self, field, value
     ):
-        with pytest.raises(ValueError, match=field):
+        # a former schedule field is refused by name, whatever its value
+        with pytest.raises(TypeError, match=f"'{field}'"):
             SaParams(**{field: value})
 
-    def test_infinite_level_count_names_the_fields(self):
-        # every field is finite, but (t_init - t_final) / alpha overflows
-        with pytest.raises(ValueError, match=r"\(t_init - t_final\) / alpha"):
-            SaParams(t_init=1e308, t_final=1.0, alpha=1e-10)
+    @pytest.mark.parametrize("seed", [True, 1.0, None, "1"], ids=repr)
+    def test_seed_must_be_an_integer(self, seed):
+        # each of these once seeded a walk: True, 1.0 and None ones other
+        # than 1's, and "1" silently 1's own
+        with pytest.raises(ValueError, match="rng_seed must be an integer"):
+            SaParams(rng_seed=seed)
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        scn = reference_scenario()
+        runs = [sa_solve_slot(scn, 0, SaParams(rng_seed=s)) for s in (np.int64(1), 1)]
+        assert runs[0] == runs[1]
+        assert runs[0][2] == 35008
 
 
 class TestSimulatedAnnealing:
@@ -357,21 +375,14 @@ class TestSimulatedAnnealing:
         assert revenue.total <= es_solve_slot(scn, 0)[1].total
         assert evaluations == oracles.expected_sa_evaluations(3)
 
-    def test_tiny_boltzmann_constant(self):
-        # K x temperature underflows to 0: every downhill move is rejected
-        scn = reference_scenario()
-        switch, revenue, _ = sa_solve_slot(scn, 0, SaParams(boltzmann_k=5e-324))
-        assert is_feasible(scn, 0, switch).feasible
-        assert revenue.total <= es_solve_slot(scn, 0)[1].total
-
     def test_debug_records_of_skipped_steps_and_empty_neighborhoods(self, caplog):
         # the records perfbench's tracer counts; reference slot 0 binds
-        scn, params = reference_scenario(), SaParams()
+        scn = reference_scenario()
         with caplog.at_level(logging.DEBUG, logger="hetlease.solvers"):
-            _, _, evaluations = sa_solve_slot(scn, 0, params)
+            _, _, evaluations = sa_solve_slot(scn, 0, SaParams())
         skipped = [r for r in caplog.records if "no feasible move" in r.msg]
         assert [r.args for r in skipped] == [(0, 1551)]
-        steps = params.temperature_levels() * 3 * params.k_factor * scn.num_sbs
+        steps = solvers.SA_LEVELS * 3 * solvers.SA_K_FACTOR * scn.num_sbs
         assert steps - evaluations == 1551
         empty = [r.args for r in caplog.records if "empty from state" in r.msg]
         assert empty and len(set(empty)) == len(empty)
@@ -450,11 +461,19 @@ SA_EARLIER = [
 
 
 # The same fields, recorded at a schedule and Boltzmann constant away from
-# the defaults (67 levels of 4N steps), before the annealer's step loop was
-# restructured.  With boltzmann_k = 1.0 a kT that drops or misplaces the
-# constant reads the same as the right one; here it changes which downhill
-# moves are accepted, and so the walk and its count of skipped steps.
-TUNED = dict(boltzmann_k=0.7, t_init=2.0, alpha=0.03, k_factor=4, shake_flip_prob=0.35)
+# the fixed ones, before the annealer's step loop was restructured:
+# temperatures 2.0 down by 0.03 over 67 levels of 4N steps, a shake flip
+# probability of 0.35 and kT = 0.7 x temperature.  ``use_tuned_schedule``
+# patches that schedule in, so these rows check that the walk reads every
+# schedule constant, and its level's kT, when it runs.
+def use_tuned_schedule(monkeypatch):
+    schedule = dict(SA_T_INIT=2.0, SA_ALPHA=0.03, SA_LEVELS=67, SA_K_FACTOR=4,
+                    SA_SHAKE_FLIP_PROB=0.35)
+    for name, value in schedule.items():
+        monkeypatch.setattr(solvers, name, value)
+    monkeypatch.setattr(solvers, "_kt", lambda t: max(0.7 * t, math.ulp(0.0)))
+
+
 SA_TUNED = [
     ("ref", 66, 0, 0xe, 4216, "0x1.0a4afe3752565p+2"),
     ("ref", 96, 1, 0x0, 682, "0x0.0p+0"),
@@ -463,7 +482,7 @@ SA_TUNED = [
 ]
 
 
-# (scenario, slot, parameters, off mask, evaluations, skipped steps, rnd()
+# (scenario, slot, schedule, off mask, evaluations, skipped steps, rnd()
 # draws) of ``_anneal`` on the slot's knapsack row with ``_slot_rng(0,
 # slot)``, recorded from the annealer whose every step ran the value and
 # accept block, flips or not, and tracked the macro load on every slot.
@@ -483,10 +502,10 @@ SA_WALKS = [
 ]
 
 
-def anneal_counting_draws(row, params, slot):
-    """``_anneal`` on ``row`` with the slot's random stream, as (best
-    off-mask, evaluations, skipped steps, rnd() draws)."""
-    stream = solvers._slot_rng(params.rng_seed, slot).random
+def anneal_counting_draws(row, slot):
+    """``_anneal`` on ``row`` with the slot's random stream at seed 0, as
+    (best off-mask, evaluations, skipped steps, rnd() draws)."""
+    stream = solvers._slot_rng(0, slot).random
     draws = 0
 
     def rnd():
@@ -494,13 +513,13 @@ def anneal_counting_draws(row, params, slot):
         draws += 1
         return stream()
 
-    return (*solvers._anneal(row, params, rnd), draws)
+    return (*solvers._anneal(row, rnd), draws)
 
 
 # Rows at the edge of "every mask fits" (all contributions non-negative
 # and all-off's ascending sum within capacity), recorded like SA_WALKS on
-# slot 0 at the default parameters: (row, every mask fits, all-off fits,
-# off mask, evaluations, skipped steps, rnd() draws)
+# slot 0: (row, every mask fits, all-off fits, off mask, evaluations,
+# skipped steps, rnd() draws)
 EDGE_BASE, EDGE_CONTRIB = 0.1, [0.3, 0.2, 0.15, 0.1, 0.05]
 EDGE_CAP = solvers._ascending_sum((1 << 5) - 1, EDGE_BASE, EDGE_CONTRIB)
 EDGE_WEIGHTS = [0.5, 0.25, 0.75, 0.125, 0.375]
@@ -549,13 +568,12 @@ class TestAnnealerGolden:
         if (name, slot, seed, mask, evals, total) in SA_GOLDEN:
             assert evaluations == evals
 
-    @pytest.mark.parametrize("name,slot,seed,mask,evals,total", SA_TUNED)
-    def test_matches_recorded_run_at_tuned_parameters(
-        self, scenarios, monkeypatch, name, slot, seed, mask, evals, total
-    ):
-        """Also checks that every downhill decision gets its level's kT,
-        boltzmann_k x temperature, bit for bit: a kT of other bits flips
-        a decision only when a draw lands between the two thresholds."""
+    @staticmethod
+    def solve_recording_kts(monkeypatch, scn, slot, seed, boltzmann_k):
+        """``sa_solve_slot`` on ``scn``'s ``slot``, checking that every
+        downhill decision gets its level's kT, ``boltzmann_k`` x
+        temperature, bit for bit: a kT of other bits flips a decision only
+        when a draw lands between the two thresholds."""
         kts = []
         real = solvers._downhill_accept
 
@@ -564,28 +582,48 @@ class TestAnnealerGolden:
             return real(current, candidate, kt, rnd)
 
         monkeypatch.setattr(solvers, "_downhill_accept", recording)
-        scn = scenarios[name]
-        params = SaParams(rng_seed=seed, **TUNED)
-        switch, revenue, evaluations = sa_solve_slot(scn, slot, params)
-        assert switch.off_mask() == mask
-        assert (revenue.total.hex(), evaluations) == (total, evals)
+        result = sa_solve_slot(scn, slot, SaParams(rng_seed=seed))
 
         weights = slot_problem(scn, slot).weights
         # summed left to right: the builtin sum() compensates from 3.12 on
         t_scale = functools.reduce(lambda acc, w: acc + abs(w), weights, 0.0)
         t_scale = t_scale / len(weights) or 1.0
         level_kts = {
-            params.boltzmann_k * ((params.t_init - level * params.alpha) * t_scale)
-            for level in range(params.temperature_levels())
+            boltzmann_k * ((solvers.SA_T_INIT - level * solvers.SA_ALPHA) * t_scale)
+            for level in range(solvers.SA_LEVELS)
         }
         assert kts and set(kts) <= level_kts
+        return result
+
+    @pytest.mark.parametrize("name,slot,seed,mask,evals,total",
+                             [row for row in SA_GOLDEN if row[:3] == ("ref", 66, 0)])
+    def test_every_downhill_decision_gets_its_level_kt(
+        self, scenarios, monkeypatch, name, slot, seed, mask, evals, total
+    ):
+        switch, revenue, evaluations = self.solve_recording_kts(
+            monkeypatch, scenarios[name], slot, seed, 1.0
+        )
+        assert switch.off_mask() == mask
+        assert (revenue.total.hex(), evaluations) == (total, evals)
+
+    @pytest.mark.parametrize("name,slot,seed,mask,evals,total", SA_TUNED)
+    def test_matches_recorded_run_at_tuned_parameters(
+        self, scenarios, monkeypatch, name, slot, seed, mask, evals, total
+    ):
+        use_tuned_schedule(monkeypatch)
+        switch, revenue, evaluations = self.solve_recording_kts(
+            monkeypatch, scenarios[name], slot, seed, 0.7
+        )
+        assert switch.off_mask() == mask
+        assert (revenue.total.hex(), evaluations) == (total, evals)
 
     @pytest.mark.parametrize("name,slot,label,mask,evals,skipped,draws", SA_WALKS)
-    def test_matches_recorded_walk(self, scenarios, name, slot, label, mask, evals,
-                                   skipped, draws):
-        params = SaParams(**TUNED) if label == "tuned" else SaParams()
+    def test_matches_recorded_walk(self, scenarios, monkeypatch, name, slot, label, mask,
+                                   evals, skipped, draws):
+        if label == "tuned":
+            use_tuned_schedule(monkeypatch)
         row = slot_problem(scenarios[name], slot)
-        assert anneal_counting_draws(row, params, slot) == (mask, evals, skipped, draws)
+        assert anneal_counting_draws(row, slot) == (mask, evals, skipped, draws)
 
     @pytest.mark.parametrize(
         "row,every_fits,all_off_fits,mask,evals,skipped,draws", FREE_EDGE_ROWS
@@ -598,7 +636,7 @@ class TestAnnealerGolden:
             for m in range(1 << len(row.contrib))
         ]
         assert (all(fits), fits[-1]) == (every_fits, all_off_fits)
-        assert anneal_counting_draws(row, SaParams(), 0) == (mask, evals, skipped, draws)
+        assert anneal_counting_draws(row, 0) == (mask, evals, skipped, draws)
         assert fits[mask]
 
     def test_kicked_state_is_judged_for_best_on_a_step_that_stays(self, monkeypatch):
@@ -611,9 +649,10 @@ class TestAnnealerGolden:
         monkeypatch.setattr(solvers, "_downhill_accept", lambda *args: False)
         monkeypatch.setattr(solvers, "_kick", lambda mask, n, p, rnd: 0b0111)
         row = SlotProblem(0.0, 1.0, [0.3, 0.3, 0.3, 1.0], [1.0, 1.0, 1.0, 2.5])
-        params = SaParams(t_init=2.0, t_final=0.5, alpha=1.0, k_factor=1)
-        assert params.temperature_levels() == 2
-        best, _, _ = solvers._anneal(row, params, lambda: 0.99)
+        # two levels of one iteration each
+        monkeypatch.setattr(solvers, "SA_LEVELS", 2)
+        monkeypatch.setattr(solvers, "SA_K_FACTOR", 1)
+        best, _, _ = solvers._anneal(row, lambda: 0.99)
         assert best == 0b0111
 
     def test_tight_case_exercises_the_enumeration_fallback(self, scenarios, monkeypatch):
@@ -642,12 +681,12 @@ class TestAnnealerMatchesOracle:
         assert {scn.num_sbs for scn in instances} == set(range(7))
 
     def test_reaches_the_positive_weight_optimum_when_t_dwarfs_the_weights(self):
-        # every mask fits, and every temperature of the nominal schedule is
-        # over 16 times the largest weight
+        # every mask fits, and the schedule's floor, 0.01, is over 16 times
+        # the largest weight
         scn = bench_scenario(24, 7)
         for slot in (0, 66, 120):
             weights = slot_problem(scn, slot).weights
-            assert max(map(abs, weights)) < SaParams().t_final / 16
+            assert max(map(abs, weights)) < 0.01 / 16
             optimum = sum(1 << j for j, w in enumerate(weights) if w > 0)
             switch, _, _ = sa_solve_slot(scn, slot)
             assert switch.off_mask() == optimum
@@ -673,9 +712,8 @@ def assert_kernels_match_the_solvers(scn, row):
         switch, _, _ = sorting_solve_slot(scn, 0, order)
         assert solvers._greedy(row, ranked) == switch.off_mask()
     for seed in range(3):
-        params = SaParams(rng_seed=seed)
-        switch, _, evaluations = sa_solve_slot(scn, 0, params)
-        best, count, _ = solvers._anneal(row, params, solvers._slot_rng(seed, 0).random)
+        switch, _, evaluations = sa_solve_slot(scn, 0, SaParams(rng_seed=seed))
+        best, count, _ = solvers._anneal(row, solvers._slot_rng(seed, 0).random)
         assert (best, count) == (switch.off_mask(), evaluations)
 
 
