@@ -68,15 +68,13 @@ class BaseStation:
         for name in ("p_o", "zeta", "p_tx"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
-                raise ConfigError(
-                    f"{self.kind.value} station: {name} must be positive and "
-                    f"finite, got {value!r}"
-                )
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if self.rb_capacity <= 0:
-            raise ConfigError(f"rb_capacity must be positive: {self}")
+            raise ConfigError(f"rb_capacity must be positive, got {self.rb_capacity!r}")
         if self.p_sleep is not None and not 0 <= self.p_sleep < self.p_o:
             raise ConfigError(
-                f"p_sleep must satisfy 0 <= p_sleep < p_o: {self}"
+                "p_sleep must satisfy 0 <= p_sleep < p_o, got "
+                f"p_sleep={self.p_sleep!r}, p_o={self.p_o!r}"
             )
         if self.kind is not BsKind.MACRO and self.p_sleep is None:
             raise ConfigError(f"{self.kind.value} station needs a sleep power")

@@ -286,7 +286,10 @@ def _build_pricing(
     electricity = float(pcfg["fixed_electricity"])
     spectrum = float(pcfg["fixed_spectrum"])
     m_min, m_max = float(pcfg["spectrum_m_min"]), float(pcfg["spectrum_m_max"])
-    for key, value in (("spectrum_m_min", m_min), ("spectrum_m_max", m_max)):
+    for key, value in (
+        ("fixed_electricity", electricity), ("fixed_spectrum", spectrum),
+        ("spectrum_m_min", m_min), ("spectrum_m_max", m_max),
+    ):
         if not math.isfinite(value):
             raise ConfigError(f"pricing.{key} must be finite, got {value!r}")
     if electricity <= 0 or spectrum <= 0:
@@ -450,7 +453,10 @@ def _build_stations(spec_list: list[dict]) -> tuple[BaseStation, ...]:
         template = templates[kind]
         overrides = {k: v for k, v in spec.items() if k != "kind"}
         # a spec without overrides shares its kind's template object
-        stations.append(replace(template, **overrides) if overrides else template)
+        try:
+            stations.append(replace(template, **overrides) if overrides else template)
+        except ConfigError as exc:
+            raise ConfigError(f"station {i}: {exc}") from None
     return tuple(stations)
 
 

@@ -236,52 +236,71 @@ def _priced(
     return switch, total_revenue_slot(scenario, slot, switch), evaluations
 
 
+def _every_mask_fits(row: SlotProblem) -> bool:
+    """The annealer's test that every off-mask of ``row`` fits: no negative
+    contribution, and all-off's ascending sum within capacity.  Sufficient,
+    not necessary: with no negative term no mask's ascending sum exceeds
+    all-off's, as rounding is monotone, but a row with a negative term may
+    fit every mask and still fail the test."""
+    base, cap, contrib, _ = row
+    return min(contrib, default=0.0) >= 0.0 and (
+        _ascending_sum((1 << len(contrib)) - 1, base, contrib) <= cap
+    )
+
+
+def _tie_accept(current: int, cand: int, weights: Sequence[float], kt: float, rnd) -> bool:
+    """The Metropolis decision for a move whose tracked value gap lies in
+    the tie band, taken on the exact ascending sums of both states."""
+    now = _ascending_sum(current, 0.0, weights)
+    then = _ascending_sum(cand, 0.0, weights)
+    return then >= now or _downhill_accept(now, then, kt, rnd)
+
+
+def _beats(cand: int, best: int, weights: Sequence[float]) -> bool:
+    """Whether ``cand``'s exact value sum exceeds ``best``'s."""
+    return _ascending_sum(cand, 0.0, weights) > _ascending_sum(best, 0.0, weights)
+
+
 def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
     """The annealing walk on one knapsack row at the fixed schedule, drawing
     from ``rnd``; returns (best off-mask, evaluations, skipped steps).
 
     The walk starts from all-on, which always fits.  Each evaluation costs
-    O(1) work: two delta lists hold the signed change of macro load and of
-    search value that flipping each bit of the current state would cause,
-    so a move's load and value are two additions away, and an accepted move
-    negates at most two entries.  The lists and the running load and value
-    are rebuilt exactly, in ascending station order, at the start and after
+    O(1) work: delta lists hold the signed change of search value (and, in
+    the bound walk, of macro load) that flipping each bit of the current
+    state would cause, so a move is two additions away, and an accepted
+    move negates at most two entries.  The lists and running sums are
+    rebuilt exactly, in ascending station order, at the start and after
     every shake (once per temperature level), so float drift never outlives
     a level.
 
-    Guard bands keep every decision equal to the one the exact ascending
-    sums give.  A delta load within ``_guard_band`` of the capacity limit
-    is re-decided by the exact sum, so feasibility agrees with
-    ``offloaded_mbs_load`` bit for bit.  Likewise, a value comparison
-    (accept or new best) whose two sides lie within twice that relative
-    width, measured on the weight scale, is decided by exact sums; this
-    happens only for near-equal weights.  Every downhill move is decided by
-    one Metropolis rule, ``_downhill_accept``, with ``_kt``'s floored kT
-    taken once per level: outside the tie band the step calls it on the
-    tracked values, inside it on the exact sums.  The one residue: outside
-    the tie band the threshold exp(gap / kT) is taken from the tracked gap,
-    which may differ from the exact gap in its last bits.
-
-    Each step draws uniformly among the feasible moves of one
-    neighborhood.  A step first looks up the state's cached feasible
-    moves, and draws once from them or, when there are none, skips the
-    step.  Without a cache entry it redraws a uniform move until one fits;
-    after ``_RETRY_DRAWS`` misses it enumerates the neighborhood with the
-    same guard band, caches the feasible moves, and draws from them.  Both
-    paths are uniform over the feasible moves.  The evaluation count
-    therefore equals levels x k x neighborhoods whenever every
+    Two walks make the same draws and decisions.  Where
+    ``_every_mask_fits(row)`` holds, the free walk draws each move once and
+    prices it by the value deltas alone, with no load, load deltas or move
+    cache.  Otherwise the bound walk draws uniformly among the feasible
+    moves of each neighborhood.  It first looks up the state's cached
+    feasible moves, and draws once from them or, when there are none, skips
+    the step.  Without a cache entry it redraws a uniform move until one
+    fits; after ``_RETRY_DRAWS`` misses it enumerates the neighborhood,
+    caches the feasible moves, and draws from them.  A delta load within
+    ``_guard_band`` of the capacity limit is re-decided by the exact sum, so
+    feasibility agrees with ``offloaded_mbs_load`` bit for bit.  The
+    evaluation count equals levels x k x neighborhoods whenever every
     neighborhood stays non-empty, and only provably-empty steps are
     skipped.  The cache holds only neighborhoods that ran out of draws, so
     memory is O(N) for a walk on which every move fits.
 
-    A step that flips nothing, a swap of two equal bits drawn or cached as
-    ``(n, n)``, keeps the state without the value, accept and update work;
-    it still goes through the best check, the one place a state kicked to
-    after a level is judged.  When every mask fits, which holds exactly
-    when no contribution is negative and all-off's ascending sum is within
-    capacity, the first draw of every step fits and the cache stays empty:
-    the walk then skips the load test and keeps no load or load deltas.
-    Neither shortcut changes a decision or a draw.
+    A value comparison (accept or new best) whose two sides lie within
+    twice the guard band's relative width, measured on the weight scale, is
+    decided by exact sums; this happens only for near-equal weights.  Every
+    downhill move is decided by one Metropolis rule, ``_downhill_accept``,
+    with ``_kt``'s floored kT taken once per level: outside that tie band
+    on the tracked values, inside it on the exact sums.  The one residue:
+    outside the tie band the threshold exp(gap / kT) is taken from the
+    tracked gap, which may differ from the exact gap in its last bits.  A
+    step that flips nothing, a swap of two equal bits (``(n, n)``), keeps
+    the state without the value and accept work; it still goes through the
+    best check, the one place a state kicked to after a level is judged.
     """
     base, cap, contrib, weights = row
     n = len(contrib)
@@ -323,93 +342,116 @@ def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
     best, best_val = current, cur_val
     best_lo = best_val - tie
 
-    # every mask fits: with no negative term, no subset's ascending sum
-    # exceeds all-off's, as rounding is monotone; the walk then tracks no load
-    free = min(contrib) >= 0.0 and _ascending_sum((1 << n) - 1, base, contrib) <= cap
-
+    free = _every_mask_fits(row)
     nm1 = n - 1
     draws = range(_RETRY_DRAWS)
     skipped = 0
 
     for level in range(SA_LEVELS):
         kt = _kt((SA_T_INIT - level * SA_ALPHA) * t_scale)
-        for kind in steps:
-            moves = cache.get((current << 2) | kind) if cache else None
-            if moves is None:
-                for _ in draws:
-                    a = int(rnd() * n)
-                    if kind == 0:
-                        b = n
+        if free:
+            # the free walk: the first draw of every step fits
+            for kind in steps:
+                a = int(rnd() * n)
+                if kind == 0:
+                    b = n
+                else:
+                    b = int(rnd() * nm1)
+                    if b >= a:
+                        b += 1
+                    if kind == 2 and is_off[a] == is_off[b]:
+                        a = b = n  # swap of equal bits: the state itself
+                if a == b:
+                    val, accept = cur_val, True
+                else:
+                    val = cur_val + dv[a] + dv[b]
+                    gap = val - cur_val
+                    if gap > tie:
+                        accept = True
+                    elif gap < -tie:
+                        accept = _downhill_accept(cur_val, val, kt, rnd)
                     else:
-                        b = int(rnd() * nm1)
-                        if b >= a:
-                            b += 1
-                        if kind == 2 and is_off[a] == is_off[b]:
-                            a = b = n  # swap of equal bits: the state itself
-                    if free:
-                        break
-                    lv = cur_load + dl[a] + dl[b]
-                    if lv <= sure_fit:
-                        break
-                    if lv > sure_miss:
-                        continue
-                    lv = _ascending_sum(current ^ bit[a] ^ bit[b], base, contrib)
-                    if lv <= cap:
-                        break
-                else:
-                    moves = cache[(current << 2) | kind] = [
-                        (a, b)
-                        for a, b in _neighborhood_pairs(kind, is_off, n)
-                        if (lv := cur_load + dl[a] + dl[b]) <= sure_fit
-                        or lv <= sure_miss
-                        and _ascending_sum(current ^ bit[a] ^ bit[b], base, contrib)
-                        <= cap
-                    ]
-                    if not moves:
-                        logger.debug(
-                            "neighborhood %d empty from state %#x", kind, current
+                        # zero weights leave the exact sum unchanged
+                        accept = dv[a] == dv[b] == 0.0 or _tie_accept(
+                            current, current ^ bit[a] ^ bit[b], weights, kt, rnd
                         )
-            if moves is not None:
-                if not moves:
-                    skipped += 1
-                    continue
-                a, b = moves[int(rnd() * len(moves))]
-                lv = cur_load + dl[a] + dl[b]
-            if a == b:
-                # (n, n) flips nothing: the state stays, judged below for best
-                val, accept = cur_val, True
-            else:
-                val = cur_val + dv[a] + dv[b]
-                gap = val - cur_val
-                if gap > tie:
-                    accept = True
-                elif gap < -tie:
-                    accept = _downhill_accept(cur_val, val, kt, rnd)
-                elif dv[a] == 0.0 and dv[b] == 0.0:
-                    # zero weights: the exact sum is unchanged
-                    accept = True
+                    if accept:
+                        current ^= bit[a] ^ bit[b]
+                        cur_val = val
+                        dv[a], is_off[a] = -dv[a], not is_off[a]
+                        dv[b], is_off[b] = -dv[b], not is_off[b]
+                if val >= best_lo:
+                    cand = current if accept else current ^ bit[a] ^ bit[b]
+                    if val > best_val + tie or cand != best and _beats(cand, best, weights):
+                        # max: an exact tie-break may pick a value a few ulps low
+                        best, best_val = cand, max(val, best_val)
+                        best_lo = best_val - tie
+        else:
+            # the bound walk: draws are tested against the capacity
+            for kind in steps:
+                moves = cache.get((current << 2) | kind) if cache else None
+                if moves is None:
+                    for _ in draws:
+                        a = int(rnd() * n)
+                        if kind == 0:
+                            b = n
+                        else:
+                            b = int(rnd() * nm1)
+                            if b >= a:
+                                b += 1
+                            if kind == 2 and is_off[a] == is_off[b]:
+                                a = b = n
+                        lv = cur_load + dl[a] + dl[b]
+                        if lv <= sure_fit:
+                            break
+                        if lv > sure_miss:
+                            continue
+                        lv = _ascending_sum(current ^ bit[a] ^ bit[b], base, contrib)
+                        if lv <= cap:
+                            break
+                    else:
+                        moves = cache[(current << 2) | kind] = [
+                            (a, b)
+                            for a, b in _neighborhood_pairs(kind, is_off, n)
+                            if (lv := cur_load + dl[a] + dl[b]) <= sure_fit
+                            or lv <= sure_miss
+                            and _ascending_sum(current ^ bit[a] ^ bit[b], base, contrib)
+                            <= cap
+                        ]
+                        if not moves:
+                            logger.debug(
+                                "neighborhood %d empty from state %#x", kind, current
+                            )
+                if moves is not None:
+                    if not moves:
+                        skipped += 1
+                        continue
+                    a, b = moves[int(rnd() * len(moves))]
+                    lv = cur_load + dl[a] + dl[b]
+                if a == b:
+                    val, accept = cur_val, True
                 else:
-                    now = _ascending_sum(current, 0.0, weights)
-                    then = _ascending_sum(current ^ bit[a] ^ bit[b], 0.0, weights)
-                    accept = then >= now or _downhill_accept(now, then, kt, rnd)
-                if accept:
-                    current ^= bit[a] ^ bit[b]
-                    cur_val = val
-                    dv[a], is_off[a] = -dv[a], not is_off[a]
-                    dv[b], is_off[b] = -dv[b], not is_off[b]
-                    if not free:
-                        cur_load = lv
+                    val = cur_val + dv[a] + dv[b]
+                    gap = val - cur_val
+                    if gap > tie:
+                        accept = True
+                    elif gap < -tie:
+                        accept = _downhill_accept(cur_val, val, kt, rnd)
+                    else:
+                        accept = dv[a] == dv[b] == 0.0 or _tie_accept(
+                            current, current ^ bit[a] ^ bit[b], weights, kt, rnd
+                        )
+                    if accept:
+                        current ^= bit[a] ^ bit[b]
+                        cur_val, cur_load = val, lv
+                        dv[a], is_off[a] = -dv[a], not is_off[a]
+                        dv[b], is_off[b] = -dv[b], not is_off[b]
                         dl[a], dl[b] = -dl[a], -dl[b]
-            if val >= best_lo:
-                cand = current if accept else current ^ bit[a] ^ bit[b]
-                if val > best_val + tie or (
-                    cand != best
-                    and _ascending_sum(cand, 0.0, weights)
-                    > _ascending_sum(best, 0.0, weights)
-                ):
-                    # max: an exact tie-break may pick a value a few ulps low
-                    best, best_val = cand, max(val, best_val)
-                    best_lo = best_val - tie
+                if val >= best_lo:
+                    cand = current if accept else current ^ bit[a] ^ bit[b]
+                    if val > best_val + tie or cand != best and _beats(cand, best, weights):
+                        best, best_val = cand, max(val, best_val)
+                        best_lo = best_val - tie
         # diversify: restart the walk from a kicked copy of the best
         current = _kick(best, n, SA_SHAKE_FLIP_PROB, rnd)
         cur_load, cur_val = rebuild(current)

@@ -339,6 +339,14 @@ def test_unknown_method_is_an_error(small_config, tmp_path, capsys):
         ("pricing: {policy: dynamic, spectrum_m_max: .inf}", "pricing.spectrum_m_max"),
         ("pricing: {spectrum_m_min: .nan}", "pricing.spectrum_m_min"),
         ("offload_mode: foo", "unknown offload_mode 'foo'"),
+        ("pricing: {fixed_electricity: .nan}", "pricing.fixed_electricity must be finite"),
+        ("pricing: {fixed_spectrum: .inf}", "pricing.fixed_spectrum must be finite"),
+        (
+            "stations: [{kind: macro}, {kind: rrh}, {kind: rrh, p_sleep: 500}]",
+            "station 2: p_sleep must satisfy 0 <= p_sleep < p_o, got p_sleep=500, p_o=84.0",
+        ),
+        ("stations: [{kind: macro}, {kind: rrh, rb_capacity: 0}]", "station 1: rb_capacity"),
+        ("stations: [{kind: macro}, {kind: rrh, p_o: -1}]", "station 1: p_o"),
         pytest.param(
             f"pricing: {{fixed_electricity: {HUGE}}}", "pricing.fixed_electricity",
             id="huge-fixed_electricity",

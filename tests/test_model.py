@@ -62,7 +62,7 @@ class TestBaseStationValidation:
             )
 
     def test_rejects_sleep_above_idle(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"got p_sleep=56\.0, p_o=56\.0$"):
             BaseStation(
                 kind=BsKind.MICRO, p_o=56.0, zeta=2.6, p_tx=6.3,
                 rb_capacity=50, p_sleep=56.0,

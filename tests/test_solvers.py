@@ -538,6 +538,77 @@ FREE_EDGE_ROWS = [
 ]
 
 
+def assert_free_walk_matches_the_bound_walk(monkeypatch, row, slot):
+    """``_anneal`` on a row that passes ``_every_mask_fits`` takes the free
+    walk; with the test patched to fail it takes the bound walk, which must
+    give the same best mask, counts and number of draws."""
+    assert solvers._every_mask_fits(row)
+    free = anneal_counting_draws(row, slot)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_every_mask_fits", lambda row: False)
+        assert anneal_counting_draws(row, slot) == free
+
+
+def random_free_rows(seed):
+    """One seeded random row per N in 1..20 on which every mask fits:
+    contributions in [0, 0.1) (all zero on every fifth row), weights of both
+    signs with about a quarter of them zero, and a capacity at all-off's
+    ascending sum on every other row, some room above it on the others."""
+    rng = random.Random(seed)
+    rows = []
+    for n in range(1, 21):
+        base = rng.random()
+        contrib = [0.0 if n % 5 == 0 else 0.1 * rng.random() for _ in range(n)]
+        weights = [rng.choice((0.0, 1.0, 1.0, 1.0)) * rng.uniform(-1.0, 1.0)
+                   for _ in range(n)]
+        cap = solvers._ascending_sum((1 << n) - 1, base, contrib)
+        if n % 2:
+            cap += rng.random()
+        rows.append(SlotProblem(base, cap, contrib, weights))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_free_walk_matches_the_bound_walk_on_random_rows(monkeypatch, seed):
+    rows = random_free_rows(seed)
+    assert any(0.0 in row.weights for row in rows)
+    assert any(min(row.weights) < 0.0 for row in rows)
+    assert any(not any(row.contrib) for row in rows)
+    for slot, row in enumerate(rows):
+        assert_free_walk_matches_the_bound_walk(monkeypatch, row, slot)
+
+
+def test_every_mask_fits_is_sufficient_not_necessary():
+    rng = random.Random(31)
+    verdicts = collections.Counter()
+    for trial in range(300):
+        n = rng.randint(1, 10)
+        base = rng.uniform(-0.2, 0.5)
+        # every other run of four rows may draw negative contributions
+        low = -0.05 if trial // 4 % 2 else 0.0
+        contrib = [rng.uniform(low, 0.1) for _ in range(n)]
+        all_off = solvers._ascending_sum((1 << n) - 1, base, contrib)
+        # one ulp below all-off's sum, at it, one ulp above it, or roomy
+        cap = [math.nextafter(all_off, -1.0), all_off, math.nextafter(all_off, 2.0),
+               all_off + 1.0][trial % 4]
+        row = SlotProblem(base, cap, contrib, [1.0] * n)
+        fits = all(
+            solvers._ascending_sum(mask, base, contrib) <= cap for mask in range(1 << n)
+        )
+        verdict = solvers._every_mask_fits(row)
+        if verdict:
+            assert fits
+        if min(contrib) >= 0.0:
+            # without a negative term all-off is the heaviest mask
+            assert verdict == fits
+        verdicts[verdict, fits] += 1
+    assert verdicts[True, True] and verdicts[False, False] and verdicts[False, True]
+    # a negative term and room to spare: every mask fits, yet the test fails
+    row = SlotProblem(0.0, 1.0, [0.3, -0.2, 0.4], [1.0, 1.0, 1.0])
+    assert all(solvers._ascending_sum(mask, 0.0, row.contrib) <= 1.0 for mask in range(8))
+    assert not solvers._every_mask_fits(row)
+
+
 class TestAnnealerGolden:
     @pytest.fixture(scope="class")
     def scenarios(self):
@@ -638,6 +709,14 @@ class TestAnnealerGolden:
         assert (all(fits), fits[-1]) == (every_fits, all_off_fits)
         assert anneal_counting_draws(row, 0) == (mask, evals, skipped, draws)
         assert fits[mask]
+
+    @pytest.mark.parametrize("name,slot", [("b16", 0), ("b16", 60), ("b16", 100),
+                                           ("b64", 12)])
+    def test_free_walk_matches_the_bound_walk_on_bench_slots(
+        self, scenarios, monkeypatch, name, slot
+    ):
+        row = slot_problem(scenarios[name], slot)
+        assert_free_walk_matches_the_bound_walk(monkeypatch, row, slot)
 
     def test_kicked_state_is_judged_for_best_on_a_step_that_stays(self, monkeypatch):
         # {3} (2.5) is a trap: every move from it loses, and {0, 1, 2} (3.0)
