@@ -26,7 +26,7 @@ from pathlib import Path
 from .metrics import _write_csv, runtime_scaling, write_bench_csv
 from .model import ConfigError, Scenario, SolverResult
 from .scenario import CsvFormatError, build_scenario, load_config
-from .solvers import ES_MAX_SBS, Method, SaParams, solve_day
+from .solvers import ES_MAX_SBS, Method, SaParams, check_es_size, solve_day
 
 logger = logging.getLogger(__name__)
 
@@ -154,13 +154,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    out = _resolve_out(args.out)
     methods = [Method.from_str(m) for m in args.methods]
-    notes = []
-    records = []
     for n in args.n:
         if n < 1:
             raise ConfigError(f"benchmark size must be >= 1, got {n}")
+    notes = []
+    records = []
+    for n in args.n:
         run = [m for m in methods if m is not Method.ES or n <= ES_MAX_SBS]
         if len(run) < len(methods):
             note = (
@@ -172,6 +172,7 @@ def cmd_bench(args) -> int:
         if run:
             # one scenario per size, shared by its methods
             records.extend(runtime_scaling([n], run, args.seed))
+    out = _resolve_out(args.out)
     write_bench_csv(records, out / "bench.csv")
     if notes:
         (out / "bench_notes.txt").write_text("\n".join(notes) + "\n", encoding="utf-8")
@@ -182,8 +183,7 @@ def cmd_bench(args) -> int:
 def cmd_market(args) -> int:
     scenario = _scenario(args)
     params = _sa_params(args)
-    out = _resolve_out(args.out)
-
+    check_es_size(scenario.num_sbs)  # before the sa day, which es would follow
     rows = []
     for method in (Method.SA, Method.ES):
         result = solve_day(scenario, method, params)
@@ -196,6 +196,7 @@ def cmd_market(args) -> int:
         unit_cost = _fmt(expenditure / leased) if leased else ""
         rows.append([method.value, _fmt(expenditure), leased, unit_cost])
 
+    out = _resolve_out(args.out)
     _write_csv(out / "market.csv", ["method", "expenditure", "rbs_leased", "avg_unit_cost"], rows)
     logger.info("wrote %s", out / "market.csv")
     return 0

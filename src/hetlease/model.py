@@ -76,6 +76,8 @@ class BaseStation:
                 "p_sleep must satisfy 0 <= p_sleep < p_o, got "
                 f"p_sleep={self.p_sleep!r}, p_o={self.p_o!r}"
             )
+        if self.kind is BsKind.MACRO and self.p_sleep is not None:
+            raise ConfigError(f"p_sleep must be None for a macro cell, got {self.p_sleep!r}")
         if self.kind is not BsKind.MACRO and self.p_sleep is None:
             raise ConfigError(f"{self.kind.value} station needs a sleep power")
 

@@ -7,15 +7,10 @@ with a single occupancy factor, optionally time-shifted to chase the
 cheapest spectrum price (delay-tolerant demand).  Everything is driven
 by one plain-dict config that round-trips losslessly through YAML.
 
-The config's ``pricing`` section picks a ``policy``.  ``fixed`` repeats
-``fixed_electricity`` and ``fixed_spectrum`` in every slot.  ``dynamic``
-multiplies the flat electricity price by one multiplier per slot and
-lets the spectrum price follow aggregate traffic within
-[``spectrum_m_min``, ``spectrum_m_max``] times its flat price.  The
-multipliers come from ``electricity_profile``: null for the built-in
-curve, an inline list, or the path of a YAML file holding a list.  Both
-list forms get the same checks (numbers, finite, positive), and under
-``fixed`` the profile must be all ones.
+The ``pricing`` section picks a ``policy``: ``fixed`` repeats the flat
+prices in every slot; ``dynamic`` scales the flat electricity price by
+one multiplier per slot (``electricity_profile``) and lets the spectrum
+price follow aggregate traffic.  ``_SCHEMA`` lists every config key.
 """
 
 from __future__ import annotations
@@ -25,8 +20,8 @@ import csv
 import logging
 import math
 import numbers
-from dataclasses import fields, replace
-from typing import Mapping, Sequence
+from dataclasses import replace
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -79,8 +74,6 @@ def synth_traffic(seed: int, num_slots: int, num_stations: int) -> np.ndarray:
     noise.  Values are raw non-negative activity, not yet normalized.
     Deterministic per (seed, station index).
     """
-    if num_slots < 1 or num_stations < 1:
-        raise ConfigError("need at least one slot and one station")
     hours = (np.arange(num_slots) + 0.5) * (24.0 / num_slots)
     series = np.empty((num_stations, num_slots), dtype=np.float64)
     for i in range(num_stations):
@@ -105,8 +98,6 @@ def ingest_activity_csv(
     several grids (typically the macro, which aggregates two) gets their
     sum.  Slots a grid never reports are left at 0 and logged.
     """
-    if not assignment:
-        raise ConfigError("empty grid-to-station assignment")
     stations_covered = set(assignment.values())
     for station in stations_covered:
         if not 0 <= station < num_stations:
@@ -280,159 +271,204 @@ def dynamic_spectrum_price(
 def _build_pricing(
     pcfg: dict, traffic: np.ndarray, num_slots: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slot (electricity, spectrum) prices from the validated
-    ``pricing`` section (see the module docstring), checking each pricing
-    input once."""
-    electricity = float(pcfg["fixed_electricity"])
-    spectrum = float(pcfg["fixed_spectrum"])
-    m_min, m_max = float(pcfg["spectrum_m_min"]), float(pcfg["spectrum_m_max"])
-    for key, value in (
-        ("fixed_electricity", electricity), ("fixed_spectrum", spectrum),
-        ("spectrum_m_min", m_min), ("spectrum_m_max", m_max),
-    ):
-        if not math.isfinite(value):
-            raise ConfigError(f"pricing.{key} must be finite, got {value!r}")
-    if electricity <= 0 or spectrum <= 0:
-        raise ConfigError("flat prices must be positive")
-    if not 0 < m_min <= m_max:
-        raise ConfigError("need 0 < spectrum_m_min <= spectrum_m_max")
-
-    profile, mult = pcfg["electricity_profile"], None
-    if profile is not None:
-        if isinstance(profile, str):
-            name, entries = profile, _read_yaml(profile)
-        else:
-            name, entries = "pricing.electricity_profile", profile
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError(f"{name}: expected a non-empty list of multipliers")
-        for i, factor in enumerate(entries):
-            _require_number(factor, f"{name}[{i}]")
-        mult = np.asarray(entries, dtype=np.float64)
-        if not np.all(np.isfinite(mult) & (mult > 0)):
-            raise ConfigError(f"{name}: multipliers must be finite and positive")
-
-    policy = pcfg["policy"]
-    if policy == "fixed":
-        if mult is not None and not np.all(mult == 1.0):
-            raise ConfigError("fixed pricing requires all multipliers = 1")
+    """Per-slot (electricity, spectrum) prices from the validated ``pricing``
+    section; a profile file gets the checks of an inline profile here."""
+    electricity, spectrum = float(pcfg["fixed_electricity"]), float(pcfg["fixed_spectrum"])
+    mult = pcfg["electricity_profile"]
+    if isinstance(mult, str):
+        path, mult = mult, _read_yaml(mult)
+        _check(mult, path, _SCHEMA["pricing.electricity_profile"]._replace(types=(list,)))
+        _check_profile(mult, path, pcfg["policy"], num_slots)
+    if pcfg["policy"] == "fixed":
         return np.full(num_slots, electricity), np.full(num_slots, spectrum)
-    if policy != "dynamic":
-        raise ConfigError(f"unknown pricing policy {policy!r}")
-    if mult is None:
-        mult = default_electricity_multipliers(num_slots)
-    elif mult.size != num_slots:
-        raise ConfigError(f"multiplier curve has {mult.size} slots, grid has {num_slots}")
+    mult = default_electricity_multipliers(num_slots) if mult is None else np.asarray(mult)
+    m_min, m_max = float(pcfg["spectrum_m_min"]), float(pcfg["spectrum_m_max"])
     return mult * electricity, dynamic_spectrum_price(traffic, spectrum, m_min, m_max)
+
+
+def _check_profile(mult: list, name: str, policy: str, num_slots: int) -> None:
+    """Check a profile ``name`` (key path or file) beyond its entries: it is
+    non-empty, all ones under ``fixed``, one multiplier per slot otherwise."""
+    if not mult:
+        raise ConfigError(f"{name} must be a non-empty list of multipliers, got []")
+    shaped = [i for i, m in enumerate(mult) if m != 1]
+    if policy == "fixed" and shaped:
+        raise ConfigError(f"pricing.policy fixed requires all multipliers = 1, "
+                          f"got {name}[{shaped[0]}] = {mult[shaped[0]]!r}")
+    if policy == "dynamic" and len(mult) != num_slots:
+        raise ConfigError(f"pricing.policy dynamic needs one multiplier per slot: "
+                          f"{name} has {len(mult)} slots, grid has {num_slots}")
 
 
 # --- config ---------------------------------------------------------------
 
-_CONFIG_DEFAULTS: dict = {
-    "grid": {"horizon_min": 1440, "slot_min": 10},
-    "stations": [{"kind": "macro"}],
-    "traffic": {
-        "source": "synthetic",
-        "seed": 0,
-        "scale": None,          # optional per-station factors in (0, 1]
-        "csv_path": None,
-        "assignment": None,     # grid id -> station index, csv source only
-    },
-    "demand": {"beta": 0.7, "mode": "ndt"},
-    "pricing": {
-        "policy": "fixed",
-        "fixed_electricity": FIXED_ELECTRICITY_PRICE,
-        "fixed_spectrum": FIXED_SPECTRUM_PRICE,
-        "electricity_profile": None,   # null -> built-in curve; path or inline list
-        "spectrum_m_min": 0.5,
-        "spectrum_m_max": 1.5,
-    },
-    "offload_mode": "direct",
-    "mbs_capacity_limit": 1.0,
+class _Key(NamedTuple):
+    """One row of the config schema.  ``types`` may hold None (null), int,
+    float, str (a path, unless there are ``choices``), list (of floats) or
+    dict (of ints to ints); every number lies in the ``range`` interval."""
+
+    default: object
+    types: tuple
+    range: str = ""
+    choices: tuple = ()
+
+
+# the intervals a config number may have to lie in: test, and wording
+_INTERVALS = {
+    "(0, inf)": (lambda x: 0 < x, "be positive"),
+    "[0, inf)": (lambda x: 0 <= x, "be non-negative"),
+    "(0, 1]": (lambda x: 0 < x <= 1, "lie in (0, 1]"),
+    "[0, 1]": (lambda x: 0 <= x <= 1, "lie in [0, 1]"),
 }
 
-# every BaseStation field but its kind can be set per station
-_STATION_OVERRIDES = frozenset(f.name for f in fields(BaseStation)) - {"kind"}
+# one row per leaf key path, in the order validate_config writes them
+_SCHEMA: dict[str, _Key] = {
+    "grid.horizon_min": _Key(1440, (int,), "(0, inf)"),
+    "grid.slot_min": _Key(10, (int,), "(0, inf)"),
+    "stations": _Key([{"kind": "macro"}], (list,)),  # each entry: _STATION_KEYS
+    "traffic.source": _Key("synthetic", (str,), choices=("synthetic", "csv")),
+    "traffic.seed": _Key(0, (int,), "[0, inf)"),
+    "traffic.scale": _Key(None, (None, list), "(0, 1]"),  # one factor per station
+    "traffic.csv_path": _Key(None, (None, str)),
+    "traffic.assignment": _Key(None, (None, dict)),  # grid id -> station index
+    "demand.beta": _Key(0.7, (float,), "[0, 1]"),
+    "demand.mode": _Key("ndt", (str,), choices=("ndt", "dt")),
+    "pricing.policy": _Key("fixed", (str,), choices=("fixed", "dynamic")),
+    "pricing.fixed_electricity": _Key(FIXED_ELECTRICITY_PRICE, (float,), "(0, inf)"),
+    "pricing.fixed_spectrum": _Key(FIXED_SPECTRUM_PRICE, (float,), "(0, inf)"),
+    "pricing.electricity_profile": _Key(None, (None, str, list), "(0, inf)"),
+    "pricing.spectrum_m_min": _Key(0.5, (float,), "(0, inf)"),
+    "pricing.spectrum_m_max": _Key(1.5, (float,), "(0, inf)"),
+    "offload_mode": _Key("direct", (str,), choices=tuple(m.value for m in OffloadMode)),
+    "mbs_capacity_limit": _Key(1.0, (float,), "(0, 1]"),
+}
+
+# the rows of each stations[i]: its kind, which is required, and any
+# BaseStation field, which overrides the kind's template station
+_STATION_KEYS: dict[str, _Key] = {
+    "kind": _Key(None, (str,), choices=tuple(k.value for k in BsKind)),
+    "p_o": _Key(None, (float,), "(0, inf)"),
+    "zeta": _Key(None, (float,), "(0, inf)"),
+    "p_tx": _Key(None, (float,), "(0, inf)"),
+    "rb_capacity": _Key(None, (int,), "(0, inf)"),
+    "p_sleep": _Key(None, (None, float), "[0, inf)"),  # null for the macro only
+}
+
+_TOP_LEVEL = {path.partition(".")[0] for path in _SCHEMA}
+# each kind's template station, by its config name; frozen, so scenarios share them
+_TEMPLATES = {kind.value: station for kind, station in default_parameter_set().items()}
+_NOUNS = {int: "an integer", float: "a number", str: "a path", list: "a list", dict: "a mapping"}
 
 
-def _merge_section(defaults: dict, given: dict, path: str) -> dict:
-    merged = copy.deepcopy(defaults)
-    for key, value in given.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {path}{key!r}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {path}{key} must be a mapping")
-            merged[key] = _merge_section(defaults[key], value, f"{path}{key}.")
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
-
-
-def _require_number(value, name: str, integer: bool = False) -> None:
-    """Reject a non-number (or non-integer) config value, or one a double cannot hold."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if integer else "a number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
+def _check_number(value, path: str, kind: type, interval: str = "") -> None:
+    """Reject a ``value`` at ``path`` that is not a finite ``kind`` (int or
+    float) in ``interval``."""
+    kinds = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{path} must be {_NOUNS[kind]}, got {value!r}")
     try:
-        float(value)
+        x = float(value)
     except OverflowError:
-        raise ConfigError(f"{name} is too large for a double") from None
+        bits = int(value).bit_length()
+        raise ConfigError(f"{path} is too large for a double, got a {bits}-bit integer") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{path} must be finite, got {value!r}")
+    within, wording = _INTERVALS.get(interval, (None, ""))
+    if within and not within(x):
+        raise ConfigError(f"{path} must {wording}, got {value!r}")
 
 
-def _check_number_types(config: dict) -> None:
-    """Name the key of any numeric config value of the wrong type."""
-    for key in ("horizon_min", "slot_min"):
-        _require_number(config["grid"][key], f"grid.{key}", integer=True)
-    tcfg = config["traffic"]
-    _require_number(tcfg["seed"], "traffic.seed", integer=True)
-    if tcfg["seed"] < 0:
-        raise ConfigError(f"traffic.seed must be non-negative, got {tcfg['seed']!r}")
-    if tcfg["scale"] is not None:
-        if not isinstance(tcfg["scale"], list):
-            raise ConfigError(f"traffic.scale must be a list, got {tcfg['scale']!r}")
-        for i, factor in enumerate(tcfg["scale"]):
-            _require_number(factor, f"traffic.scale[{i}]")
-    if tcfg["csv_path"] is not None and not isinstance(tcfg["csv_path"], str):
-        raise ConfigError(f"traffic.csv_path must be a path, got {tcfg['csv_path']!r}")
-    if tcfg["assignment"] is not None:
-        if not isinstance(tcfg["assignment"], dict):
-            raise ConfigError(
-                f"traffic.assignment must be a mapping, got {tcfg['assignment']!r}"
-            )
-        for grid, station in tcfg["assignment"].items():
-            _require_number(grid, "traffic.assignment key", integer=True)
-            _require_number(station, f"traffic.assignment[{grid}]", integer=True)
-    _require_number(config["demand"]["beta"], "demand.beta")
-    for key in ("fixed_electricity", "fixed_spectrum", "spectrum_m_min", "spectrum_m_max"):
-        _require_number(config["pricing"][key], f"pricing.{key}")
-    profile = config["pricing"]["electricity_profile"]
-    if profile is not None and not isinstance(profile, (str, list)):
-        raise ConfigError(
-            f"pricing.electricity_profile must be a path or a list, got {profile!r}"
-        )
-    _require_number(config["mbs_capacity_limit"], "mbs_capacity_limit")
-    for i, spec in enumerate(config["stations"]):
-        for key in _STATION_OVERRIDES.intersection(spec):
-            if key == "p_sleep" and spec[key] is None:
-                continue  # the macro's own template has no sleep power
-            _require_number(spec[key], f"station {i}: {key}", integer=key == "rb_capacity")
+def _check(value, path: str, key: _Key) -> None:
+    """Reject a ``value`` at ``path`` that does not fit its schema row ``key``."""
+    types = key.types
+    if key.choices and value not in key.choices:
+        allowed = ", ".join(map(repr, key.choices))
+        raise ConfigError(f"unknown {path} {value!r}, expected one of {allowed}")
+    if value is None and None in types or isinstance(value, str) and str in types:
+        return
+    if isinstance(value, list) and list in types:
+        for i, entry in enumerate(value):
+            _check_number(entry, f"{path}[{i}]", float, key.range)
+    elif isinstance(value, dict) and dict in types:
+        for grid, station in value.items():
+            _check_number(grid, f"{path} key", int)
+            _check_number(station, f"{path}[{grid}]", int)
+    elif int in types or float in types:
+        _check_number(value, path, int if int in types else float, key.range)
+    else:
+        nouns = " or ".join(_NOUNS[t] for t in types if t is not None)
+        raise ConfigError(f"{path} must be {nouns}, got {value!r}")
+
+
+def _check_stations(stations) -> None:
+    """Check each ``stations[i]`` against ``_STATION_KEYS``, then that only
+    station 0 is the macro cell and only small cells sleep, below ``p_o``."""
+    if not isinstance(stations, list) or not stations:
+        raise ConfigError(f"stations must be a non-empty list, got {stations!r}")
+    for i, spec in enumerate(stations):
+        path = f"stations[{i}]"
+        if not isinstance(spec, dict) or "kind" not in spec:
+            raise ConfigError(f"{path} must be a mapping with a kind, got {spec!r}")
+        for key, value in spec.items():
+            if key not in _STATION_KEYS:
+                raise ConfigError(f"unknown config key {path}.{key}")
+            _check(value, f"{path}.{key}", _STATION_KEYS[key])
+        if (spec["kind"] == "macro") != (i == 0):
+            want = "'macro'" if i == 0 else "a small-cell kind"
+            raise ConfigError(f"{path}.kind must be {want}, got {spec['kind']!r}")
+        template = _TEMPLATES[spec["kind"]]
+        p_o, p_sleep = spec.get("p_o", template.p_o), spec.get("p_sleep", template.p_sleep)
+        if (p_sleep is None) != (i == 0) or p_sleep is not None and not p_sleep < p_o:
+            raise ConfigError(f"{path}.p_sleep must be null for the macro cell and below "
+                              f"{path}.p_o otherwise, got p_sleep={p_sleep!r}, p_o={p_o!r}")
 
 
 def validate_config(config: dict) -> dict:
-    """Merge a partial config over the defaults and reject unknown keys."""
+    """Merge a partial config over the defaults of ``_SCHEMA`` and check
+    every leaf against its row, then the rules that span keys, once.  An
+    error is one line that names the key path and the offending value."""
     if not isinstance(config, dict):
-        raise ConfigError("config must be a mapping")
-    merged = _merge_section(_CONFIG_DEFAULTS, config, "")
-    if not isinstance(merged["stations"], list) or not merged["stations"]:
-        raise ConfigError("config needs a non-empty station list")
-    for i, spec in enumerate(merged["stations"]):
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ConfigError(f"station {i} needs a 'kind'")
-        unknown = set(spec) - _STATION_OVERRIDES - {"kind"}
-        if unknown:
-            raise ConfigError(f"station {i}: unknown fields {sorted(unknown)}")
-    _check_number_types(merged)
+        raise ConfigError(f"config must be a mapping, got {config!r}")
+    for name, value in config.items():
+        if name not in _TOP_LEVEL:
+            raise ConfigError(f"unknown config key {name}")
+        if name in _SCHEMA:
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be a mapping, got {value!r}")
+        for key in value:
+            if f"{name}.{key}" not in _SCHEMA:
+                raise ConfigError(f"unknown config key {name}.{key}")
+    merged: dict = {}
+    for path, key in _SCHEMA.items():
+        section, _, leaf = path.rpartition(".")
+        source = config.get(section, {}) if section else config
+        value = copy.deepcopy(source.get(leaf, key.default))
+        if path != "stations":
+            _check(value, path, key)
+        (merged.setdefault(section, {}) if section else merged)[leaf] = value
+
+    stations, grid = merged["stations"], merged["grid"]
+    traffic, pricing = merged["traffic"], merged["pricing"]
+    _check_stations(stations)
+    horizon, slot = grid["horizon_min"], grid["slot_min"]
+    if horizon % slot:
+        raise ConfigError(f"grid.horizon_min {horizon!r} is not a multiple of "
+                          f"grid.slot_min {slot!r}")
+    scale = traffic["scale"]
+    if scale is not None and len(scale) != len(stations):
+        raise ConfigError(f"traffic.scale needs one factor per station, got {len(scale)} "
+                          f"for {len(stations)} stations")
+    if traffic["source"] == "csv" and not (traffic["csv_path"] and traffic["assignment"]):
+        raise ConfigError(f"traffic.source csv needs traffic.csv_path and traffic.assignment, "
+                          f"got {traffic['csv_path']!r} and {traffic['assignment']!r}")
+    m_min, m_max = pricing["spectrum_m_min"], pricing["spectrum_m_max"]
+    if m_min > m_max:
+        raise ConfigError(f"pricing.spectrum_m_min {m_min!r} exceeds pricing.spectrum_m_max "
+                          f"{m_max!r}")
+    if isinstance(pricing["electricity_profile"], list):
+        _check_profile(pricing["electricity_profile"], "pricing.electricity_profile",
+                       pricing["policy"], horizon // slot)
     return merged
 
 
@@ -442,72 +478,34 @@ def load_config(path) -> dict:
     return validate_config(data if data is not None else {})
 
 
-def _build_stations(spec_list: list[dict]) -> tuple[BaseStation, ...]:
-    templates = default_parameter_set()
-    stations = []
-    for i, spec in enumerate(spec_list):
-        try:
-            kind = BsKind(spec["kind"])
-        except ValueError:
-            raise ConfigError(f"station {i}: unknown kind {spec['kind']!r}") from None
-        template = templates[kind]
-        overrides = {k: v for k, v in spec.items() if k != "kind"}
-        # a spec without overrides shares its kind's template object
-        try:
-            stations.append(replace(template, **overrides) if overrides else template)
-        except ConfigError as exc:
-            raise ConfigError(f"station {i}: {exc}") from None
-    return tuple(stations)
-
-
 def build_scenario(config: dict) -> Scenario:
-    """Construct a Scenario from a config dict (see validate_config).
-
-    The validated config is stored on the scenario for lossless
-    round-tripping back to YAML.
-    """
+    """Construct a Scenario from a config dict (see validate_config); the
+    validated config is stored on it for lossless round-tripping to YAML."""
     config = validate_config(config)
     grid = TimeGrid(**config["grid"])
-    stations = _build_stations(config["stations"])
-    num_stations = len(stations)
+    stations = []
+    for spec in config["stations"]:
+        overrides = {k: v for k, v in spec.items() if k != "kind"}
+        template = _TEMPLATES[spec["kind"]]
+        # a spec without overrides shares its kind's template object
+        stations.append(replace(template, **overrides) if overrides else template)
 
-    tcfg = config["traffic"]
-    if tcfg["source"] == "synthetic":
-        raw = synth_traffic(int(tcfg["seed"]), grid.num_slots, num_stations)
-    elif tcfg["source"] == "csv":
-        if not tcfg["csv_path"] or not tcfg["assignment"]:
-            raise ConfigError("csv traffic needs csv_path and assignment")
-        assignment = {int(g): int(s) for g, s in tcfg["assignment"].items()}
-        raw = ingest_activity_csv(
-            tcfg["csv_path"], assignment, num_stations, grid.num_slots
-        )
+    tcfg, num_slots = config["traffic"], grid.num_slots
+    if tcfg["source"] == "csv":
+        raw = ingest_activity_csv(tcfg["csv_path"], tcfg["assignment"], len(stations), num_slots)
     else:
-        raise ConfigError(f"unknown traffic source {tcfg['source']!r}")
-
+        raw = synth_traffic(int(tcfg["seed"]), num_slots, len(stations))
     traffic = normalize_series(raw, tcfg["scale"])
-
-    electricity, spectrum = _build_pricing(config["pricing"], traffic, grid.num_slots)
-
-    try:
-        offload_mode = OffloadMode(config["offload_mode"])
-    except ValueError:
-        raise ConfigError(f"unknown offload_mode {config['offload_mode']!r}") from None
+    electricity, spectrum = _build_pricing(config["pricing"], traffic, num_slots)
 
     dcfg = config["demand"]
     sn_demand = sn_demand_from_pn(traffic[1:], stations[1:], float(dcfg["beta"]))
     if dcfg["mode"] == "dt":
         sn_demand = dt_shift(sn_demand, spectrum)
-    elif dcfg["mode"] != "ndt":
-        raise ConfigError(f"unknown demand mode {dcfg['mode']!r}")
 
     return Scenario(
-        grid=grid,
-        stations=stations,
-        traffic=traffic,
-        sn_demand=sn_demand,
-        electricity=electricity,
-        spectrum=spectrum,
-        offload_mode=offload_mode,
+        grid, tuple(stations), traffic, sn_demand, electricity, spectrum,
+        offload_mode=OffloadMode(config["offload_mode"]),
         mbs_capacity_limit=float(config["mbs_capacity_limit"]),
         config=config,
     )

@@ -492,6 +492,14 @@ def sa_solve_slot(
     return _priced(scenario, slot, best, evaluations)
 
 
+def check_es_size(num_sbs: int) -> None:
+    """Refuse exhaustive search on a network above ``ES_MAX_SBS`` SBSs."""
+    if num_sbs > ES_MAX_SBS:
+        raise EnumerationCapError(
+            f"{num_sbs} SBSs means 2^{num_sbs} states; enumeration is capped at {ES_MAX_SBS} SBSs"
+        )
+
+
 def es_solve_slot(
     scenario: Scenario, slot: int
 ) -> tuple[SwitchVector, RevenueBreakdown, int]:
@@ -506,10 +514,7 @@ def es_solve_slot(
     lower mask.  Only the winner goes through ``total_revenue_slot``.
     """
     n = scenario.num_sbs
-    if n > ES_MAX_SBS:
-        raise EnumerationCapError(
-            f"{n} SBSs means 2^{n} states; enumeration is capped at {ES_MAX_SBS} SBSs"
-        )
+    check_es_size(n)
     record = scenario._slot(slot)
     loads = record.loads.tolist()  # a list iterates faster
     offered = math.fsum(loads)

@@ -8,6 +8,7 @@ import pytest
 from hetlease import (
     SaParams,
     SwitchVector,
+    bench_config,
     build_scenario,
     is_feasible,
     leasing_revenue_slot,
@@ -17,7 +18,7 @@ from hetlease import (
     solve_day,
     validate_config,
 )
-from hetlease import feasibility
+from hetlease import cli, feasibility
 from hetlease.cli import _write_json, main
 
 # an integer too large for a double
@@ -271,6 +272,33 @@ def test_market_reports_both_solvers(small_config, tmp_path):
         assert float(row[3]) == pytest.approx(spent / leased, rel=1e-12)
 
 
+def test_market_refuses_an_oversized_network_before_solving(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "big.yaml"
+    save_config(bench_config(25), path)
+
+    def no_solve(*args):
+        raise AssertionError("market solved a day it then refuses")
+
+    monkeypatch.setattr(cli, "solve_day", no_solve)
+    out = tmp_path / "market"
+    assert main(["market", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: 25 SBSs means 2^25 states; enumeration is capped at 24 SBSs"]
+    assert not out.exists()
+
+
+def test_bench_checks_every_size_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("bench solved a size before rejecting another")
+
+    monkeypatch.setattr(cli, "runtime_scaling", no_solve)
+    out = tmp_path / "bench"
+    assert main(["bench", "--n", "2", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: benchmark size must be >= 1, got 0"]
+    assert not out.exists()
+
+
 def test_market_with_no_demand_leaves_unit_cost_empty(tmp_path):
     config = validate_config(
         {
@@ -335,7 +363,10 @@ def test_unknown_method_is_an_error(small_config, tmp_path, capsys):
         ("stations: [{kind: macro}, {kind: micro, p_o: .nan}]", "p_o"),
         ("stations: [{kind: macro}, {kind: micro, zeta: .inf}]", "zeta"),
         ("stations: [{kind: macro}, {kind: micro, p_tx: .nan}]", "p_tx"),
-        ("stations: [{kind: macro, bandwidth_mhz: 20}]", "unknown fields ['bandwidth_mhz']"),
+        (
+            "stations: [{kind: macro, bandwidth_mhz: 20}]",
+            "unknown config key stations[0].bandwidth_mhz",
+        ),
         ("pricing: {policy: dynamic, spectrum_m_max: .inf}", "pricing.spectrum_m_max"),
         ("pricing: {spectrum_m_min: .nan}", "pricing.spectrum_m_min"),
         ("offload_mode: foo", "unknown offload_mode 'foo'"),
@@ -343,10 +374,47 @@ def test_unknown_method_is_an_error(small_config, tmp_path, capsys):
         ("pricing: {fixed_spectrum: .inf}", "pricing.fixed_spectrum must be finite"),
         (
             "stations: [{kind: macro}, {kind: rrh}, {kind: rrh, p_sleep: 500}]",
-            "station 2: p_sleep must satisfy 0 <= p_sleep < p_o, got p_sleep=500, p_o=84.0",
+            "stations[2].p_sleep must be null for the macro cell and below stations[2].p_o "
+            "otherwise, got p_sleep=500, p_o=84.0",
         ),
-        ("stations: [{kind: macro}, {kind: rrh, rb_capacity: 0}]", "station 1: rb_capacity"),
-        ("stations: [{kind: macro}, {kind: rrh, p_o: -1}]", "station 1: p_o"),
+        ("stations: [{kind: macro}, {kind: rrh, rb_capacity: 0}]", "stations[1].rb_capacity"),
+        ("stations: [{kind: macro}, {kind: rrh, p_o: -1}]", "stations[1].p_o"),
+        ("mbs_capacity_limit: .nan", "mbs_capacity_limit must be finite, got nan"),
+        ("demand: {beta: 1.5}", "demand.beta must lie in [0, 1], got 1.5"),
+        ("demand: {mode: foo}", "unknown demand.mode 'foo', expected one of 'ndt', 'dt'"),
+        ("grid: {horizon_min: 0}", "grid.horizon_min must be positive, got 0"),
+        ("grid: {slot_min: 7}", "grid.horizon_min 1440 is not a multiple of grid.slot_min 7"),
+        ("traffic: {scale: [.nan]}", "traffic.scale[0] must be finite, got nan"),
+        (
+            "traffic: {source: foo}",
+            "unknown traffic.source 'foo', expected one of 'synthetic', 'csv'",
+        ),
+        (
+            "pricing: {policy: foo}",
+            "unknown pricing.policy 'foo', expected one of 'fixed', 'dynamic'",
+        ),
+        (
+            "pricing: {spectrum_m_min: 2, spectrum_m_max: 1}",
+            "pricing.spectrum_m_min 2 exceeds pricing.spectrum_m_max 1",
+        ),
+        ("pricing: {fixed_electricity: 0}", "pricing.fixed_electricity must be positive, got 0"),
+        (
+            "pricing: {policy: dynamic, electricity_profile: [1.0]}",
+            "pricing.electricity_profile has 1 slots, grid has 144",
+        ),
+        (
+            "pricing: {policy: fixed, electricity_profile: [2.0]}",
+            "got pricing.electricity_profile[0] = 2.0",
+        ),
+        # no formula reads a macro cell's sleep power
+        ("stations: [{kind: macro, p_sleep: 3}]", "stations[0].p_sleep"),
+        ("stations: [{kind: rrh}]", "stations[0].kind must be 'macro', got 'rrh'"),
+        ("stations: [{kind: macro}, {kind: macro}]", "stations[1].kind"),
+        (
+            "traffic: {source: csv, csv_path: a.csv}",
+            "traffic.source csv needs traffic.csv_path and traffic.assignment",
+        ),
+        ("grid: 5", "grid must be a mapping, got 5"),
         pytest.param(
             f"pricing: {{fixed_electricity: {HUGE}}}", "pricing.fixed_electricity",
             id="huge-fixed_electricity",

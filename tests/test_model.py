@@ -75,6 +75,12 @@ class TestBaseStationValidation:
                 rb_capacity=25,
             )
 
+    def test_macro_cell_has_no_sleep_power(self):
+        # no formula reads a macro cell's sleep power, so setting one is an error
+        message = r"^p_sleep must be None for a macro cell, got 3\.0$"
+        with pytest.raises(ConfigError, match=message):
+            BaseStation(BsKind.MACRO, 130.0, 4.7, 20.0, 100, p_sleep=3.0)
+
     def test_macro_sleep_is_optional(self):
         assert PARAMS[BsKind.MACRO].p_sleep is None
 

@@ -1,12 +1,15 @@
+import dataclasses
 import logging
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from hetlease import (
+    BaseStation,
     BsKind,
     ConfigError,
     CsvFormatError,
@@ -60,7 +63,7 @@ class TestSynthTraffic:
 
     def test_unknown_profile(self):
         # the synthetic traffic has one shape, so there is no key to pick it
-        with pytest.raises(ConfigError, match="unknown config key traffic.'profile'"):
+        with pytest.raises(ConfigError, match=r"^unknown config key traffic\.profile$"):
             validate_config({"traffic": {"profile": "diurnal"}})
 
 
@@ -83,6 +86,19 @@ class TestIngestCsv:
         path = self.write(tmp_path, body)
         series = ingest_activity_csv(path, {1: 0, 2: 0}, 1, 2)
         assert np.array_equal(series, [[5.5, 2.0]])
+
+    def test_csv_source_builds_the_scenario(self, tmp_path):
+        # grids 1 and 2 both feed the macro cell; grid 3 is the micro cell
+        body = "".join(f"{g},{t},{g + t}.0\n" for g in (1, 2, 3) for t in range(2))
+        path = self.write(tmp_path, body)
+        scn = build_scenario({
+            "grid": {"horizon_min": 20, "slot_min": 10},
+            "stations": [{"kind": "macro"}, {"kind": "micro"}],
+            "traffic": {"source": "csv", "csv_path": str(path),
+                        "assignment": {1: 0, 2: 0, 3: 1}, "scale": [0.5, 1.0]},
+        })
+        raw = [[1.0 + 2.0, 2.0 + 3.0], [3.0, 4.0]]
+        assert np.array_equal(scn.traffic, normalize_series(raw, [0.5, 1.0]))
 
     def test_unassigned_grid_is_ignored(self, tmp_path):
         body = "1,0,2.0\n999,0,77.0\n"
@@ -356,14 +372,15 @@ class TestConfig:
          ([0.5, 0], "must lie in (0, 1]")],
     )
     def test_bad_scale_keeps_its_message(self, scale, message):
-        config = validate_config(
-            {
-                "stations": [{"kind": "macro"}, {"kind": "micro"}],
-                "traffic": {"seed": 1, "scale": scale},
-            }
-        )
+        config = {
+            "stations": [{"kind": "macro"}, {"kind": "micro"}],
+            "traffic": {"seed": 1, "scale": scale},
+        }
+        # validate_config rejects it, and so does the array API
         with pytest.raises(ConfigError, match=re.escape(message)):
-            build_scenario(config)
+            validate_config(config)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            normalize_series(np.ones((2, 3)), scale)
 
     def test_price_that_overflows_a_slot_names_the_slot(self):
         config = reference_config()
@@ -411,6 +428,90 @@ class TestConfig:
         path.write_text("grid: {slot_min: [10,\n")
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(path)
+
+
+class TestConfigSchema:
+    def test_defaults_in_schema_order(self):
+        # validate_config writes every key, in this order, whatever order it is given
+        assert validate_config({"mbs_capacity_limit": 1, "grid": {"slot_min": 5}}) == {
+            "grid": {"horizon_min": 1440, "slot_min": 5},
+            "stations": [{"kind": "macro"}],
+            "traffic": {
+                "source": "synthetic", "seed": 0, "scale": None, "csv_path": None,
+                "assignment": None,
+            },
+            "demand": {"beta": 0.7, "mode": "ndt"},
+            "pricing": {
+                "policy": "fixed", "fixed_electricity": 0.1293, "fixed_spectrum": 0.13,
+                "electricity_profile": None, "spectrum_m_min": 0.5, "spectrum_m_max": 1.5,
+            },
+            "offload_mode": "direct",
+            "mbs_capacity_limit": 1,
+        }
+        config = validate_config({"pricing": {"spectrum_m_max": 2.0, "policy": "dynamic"}})
+        assert list(config) == [
+            "grid", "stations", "traffic", "demand", "pricing", "offload_mode",
+            "mbs_capacity_limit",
+        ]
+        assert list(config["pricing"]) == list(validate_config({})["pricing"])
+
+    def test_station_rows_are_the_base_station_fields(self):
+        fields = [f.name for f in dataclasses.fields(BaseStation)]
+        assert list(scenario_module._STATION_KEYS) == fields
+
+    def test_readme_lists_every_key_path_with_its_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = {
+            cells[1].strip("` "): cells[2].strip()
+            for cells in (line.split("|") for line in readme.splitlines())
+            if len(cells) > 3 and cells[1].strip().startswith("`")
+        }
+        for path, key in scenario_module._SCHEMA.items():
+            assert path in rows, path
+            assert yaml.safe_load(rows[path].strip("`")) == key.default, path
+        for field in scenario_module._STATION_KEYS:
+            assert f"stations[i].{field}" in rows, field
+
+    def test_given_values_are_copied(self):
+        stations = [{"kind": "macro"}, {"kind": "micro", "p_o": 60.0}]
+        config = validate_config({"stations": stations})
+        config["stations"][1]["p_o"] = 1.0
+        assert stations[1]["p_o"] == 60.0
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"grid.slot_min": 5}, "unknown config key grid.slot_min"),
+            ({"traffic": {"seed": 1, "sede": 1}}, "unknown config key traffic.sede"),
+            ({"stations": []}, "stations must be a non-empty list, got []"),
+            ({"stations": [{"p_o": 1.0}]}, "stations[0] must be a mapping with a kind"),
+            ({"stations": [{"kind": "macro"}, {"kind": "rrh", "p_sleep": None}]},
+             "stations[1].p_sleep must be null for the macro cell"),
+            ({"stations": [{"kind": "macro"}, {"kind": "rrh", "p_o": 50.0}]},
+             "got p_sleep=56.0, p_o=50.0"),
+            ({"traffic": {"assignment": {"a": 0}}}, "traffic.assignment key must be an integer"),
+            ({"pricing": {"electricity_profile": [1.0, -1.0]}},
+             "pricing.electricity_profile[1] must be positive, got -1.0"),
+            ("grid: {}", "config must be a mapping, got 'grid: {}'"),
+        ],
+    )
+    def test_error_names_the_key_path(self, config, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_config(config)
+
+    @pytest.mark.parametrize(
+        "policy, entries, message",
+        [
+            ("fixed", [1.0, 1.2], "requires all multipliers = 1, got {}[1] = 1.2"),
+            ("dynamic", [1.0] * 7, "{} has 7 slots, grid has 12"),
+            ("dynamic", {"a": 1}, "{} must be a list, got {{'a': 1}}"),
+        ],
+    )
+    def test_profile_file_gets_the_inline_rules(self, tmp_path, policy, entries, message):
+        path = tmp_path / "profile.yaml"
+        path.write_text(yaml.safe_dump(entries))
+        with pytest.raises(ConfigError, match=re.escape(message.format(path))):
+            build_scenario(pricing_config(policy, str(path)))
 
 
 class TestStockScenarios:
