@@ -48,6 +48,12 @@ class BsKind(enum.Enum):
     FEMTO = "femto"
 
 
+# the most resource blocks a station may own: up to it every demand
+# floor(beta * load * rb_capacity), with beta and load in [0, 1], is an
+# exact int64
+RB_CAPACITY_MAX = 2**53
+
+
 @dataclass(frozen=True)
 class BaseStation:
     """Static hardware parameters of one base station.
@@ -69,8 +75,8 @@ class BaseStation:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-        if self.rb_capacity <= 0:
-            raise ConfigError(f"rb_capacity must be positive, got {self.rb_capacity!r}")
+        if not 0 < self.rb_capacity <= RB_CAPACITY_MAX:
+            raise ConfigError(f"rb_capacity must lie in (0, 2^53], got {self.rb_capacity!r}")
         if self.p_sleep is not None and not 0 <= self.p_sleep < self.p_o:
             raise ConfigError(
                 "p_sleep must satisfy 0 <= p_sleep < p_o, got "

@@ -31,6 +31,7 @@ from .model import (
     BsKind,
     ConfigError,
     OffloadMode,
+    RB_CAPACITY_MAX,
     Scenario,
     TimeGrid,
     default_parameter_set,
@@ -319,6 +320,7 @@ _INTERVALS = {
     "[0, inf)": (lambda x: 0 <= x, "be non-negative"),
     "(0, 1]": (lambda x: 0 < x <= 1, "lie in (0, 1]"),
     "[0, 1]": (lambda x: 0 <= x <= 1, "lie in [0, 1]"),
+    "(0, 2^53]": (lambda x: 0 < x <= RB_CAPACITY_MAX, "lie in (0, 2^53]"),
 }
 
 # one row per leaf key path, in the order validate_config writes them
@@ -350,7 +352,7 @@ _STATION_KEYS: dict[str, _Key] = {
     "p_o": _Key(None, (float,), "(0, inf)"),
     "zeta": _Key(None, (float,), "(0, inf)"),
     "p_tx": _Key(None, (float,), "(0, inf)"),
-    "rb_capacity": _Key(None, (int,), "(0, inf)"),
+    "rb_capacity": _Key(None, (int,), "(0, 2^53]"),
     "p_sleep": _Key(None, (None, float), "[0, inf)"),  # null for the macro only
 }
 
@@ -374,7 +376,8 @@ def _check_number(value, path: str, kind: type, interval: str = "") -> None:
     if not math.isfinite(x):
         raise ConfigError(f"{path} must be finite, got {value!r}")
     within, wording = _INTERVALS.get(interval, (None, ""))
-    if within and not within(x):
+    # an integer is tested exactly, not at its nearest double
+    if within and not within(value if kind is int else x):
         raise ConfigError(f"{path} must {wording}, got {value!r}")
 
 
@@ -459,9 +462,28 @@ def validate_config(config: dict) -> dict:
     if scale is not None and len(scale) != len(stations):
         raise ConfigError(f"traffic.scale needs one factor per station, got {len(scale)} "
                           f"for {len(stations)} stations")
-    if traffic["source"] == "csv" and not (traffic["csv_path"] and traffic["assignment"]):
-        raise ConfigError(f"traffic.source csv needs traffic.csv_path and traffic.assignment, "
-                          f"got {traffic['csv_path']!r} and {traffic['assignment']!r}")
+    # normalize_series maps each station's peak to its scale factor exactly
+    peak = 1.0 if scale is None else scale[0]
+    limit = merged["mbs_capacity_limit"]
+    if peak > limit:
+        raise ConfigError(f"mbs_capacity_limit {limit!r} is below the macro's peak load "
+                          f"{peak!r}, which is traffic.scale[0] (1 when traffic.scale is null)")
+    if traffic["source"] == "csv":
+        assignment = traffic["assignment"]
+        if not (traffic["csv_path"] and assignment):
+            raise ConfigError(f"traffic.source csv needs traffic.csv_path and "
+                              f"traffic.assignment, got {traffic['csv_path']!r} and "
+                              f"{assignment!r}")
+        # before any CSV is opened: every station gets a grid, and no other
+        for grid, station in assignment.items():
+            if not 0 <= station < len(stations):
+                count = ("is 1 station" if len(stations) == 1
+                         else f"are {len(stations)} stations")
+                raise ConfigError(f"traffic.assignment[{grid}] names station {station}, "
+                                  f"but there {count}")
+        missing = sorted(set(range(len(stations))) - set(assignment.values()))
+        if missing:
+            raise ConfigError(f"traffic.assignment assigns no grid to stations {missing}")
     m_min, m_max = pricing["spectrum_m_min"], pricing["spectrum_m_max"]
     if m_min > m_max:
         raise ConfigError(f"pricing.spectrum_m_min {m_min!r} exceeds pricing.spectrum_m_max "

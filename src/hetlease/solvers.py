@@ -248,45 +248,32 @@ def _every_mask_fits(row: SlotProblem) -> bool:
     )
 
 
-def _tie_accept(current: int, cand: int, weights: Sequence[float], kt: float, rnd) -> bool:
-    """The Metropolis decision for a move whose tracked value gap lies in
-    the tie band, taken on the exact ascending sums of both states."""
-    now = _ascending_sum(current, 0.0, weights)
-    then = _ascending_sum(cand, 0.0, weights)
-    return then >= now or _downhill_accept(now, then, kt, rnd)
-
-
-def _beats(cand: int, best: int, weights: Sequence[float]) -> bool:
-    """Whether ``cand``'s exact value sum exceeds ``best``'s."""
-    return _ascending_sum(cand, 0.0, weights) > _ascending_sum(best, 0.0, weights)
-
-
 def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
     """The annealing walk on one knapsack row at the fixed schedule, drawing
     from ``rnd``; returns (best off-mask, evaluations, skipped steps).
 
     The walk starts from all-on, which always fits.  Each evaluation costs
-    O(1) work: delta lists hold the signed change of search value (and, in
-    the bound walk, of macro load) that flipping each bit of the current
-    state would cause, so a move is two additions away, and an accepted
-    move negates at most two entries.  The lists and running sums are
-    rebuilt exactly, in ascending station order, at the start and after
-    every shake (once per temperature level), so float drift never outlives
-    a level.
+    O(1) work: delta lists hold the signed change of search value and of
+    macro load that flipping each bit of the current state would cause, so
+    a move is two additions away, and an accepted move negates at most two
+    entries of each.  The lists and running sums are rebuilt exactly, in
+    ascending station order, at the start and after every shake (once per
+    temperature level), so float drift never outlives a level.
 
-    Two walks make the same draws and decisions.  Where
-    ``_every_mask_fits(row)`` holds, the free walk draws each move once and
-    prices it by the value deltas alone, with no load, load deltas or move
-    cache.  Otherwise the bound walk draws uniformly among the feasible
-    moves of each neighborhood.  It first looks up the state's cached
-    feasible moves, and draws once from them or, when there are none, skips
-    the step.  Without a cache entry it redraws a uniform move until one
-    fits; after ``_RETRY_DRAWS`` misses it enumerates the neighborhood,
-    caches the feasible moves, and draws from them.  A delta load within
-    ``_guard_band`` of the capacity limit is re-decided by the exact sum, so
-    feasibility agrees with ``offloaded_mbs_load`` bit for bit.  The
-    evaluation count equals levels x k x neighborhoods whenever every
-    neighborhood stays non-empty, and only provably-empty steps are
+    Every step draws a move, prices it, decides it and checks it for a new
+    best; only the draw depends on the row.  Where ``_every_mask_fits(row)``
+    holds, every move fits, so a step draws once and the walk keeps neither
+    its load nor its load deltas up to date.  Otherwise a step draws
+    uniformly among the feasible moves of its neighborhood.  It first looks
+    up the state's cached feasible moves, and draws once from them or, when
+    there are none, skips the step.  Without a cache entry it redraws a
+    uniform move until one fits; after ``_RETRY_DRAWS`` misses it enumerates
+    the neighborhood, caches the feasible moves, and draws from them.  Both
+    draws make the same ``rnd()`` calls on a row where every mask fits.  A
+    delta load within ``_guard_band`` of the capacity limit is re-decided by
+    the exact sum, so feasibility agrees with ``offloaded_mbs_load`` bit for
+    bit.  The evaluation count equals levels x k x neighborhoods whenever
+    every neighborhood stays non-empty, and only provably-empty steps are
     skipped.  The cache holds only neighborhoods that ran out of draws, so
     memory is O(N) for a walk on which every move fits.
 
@@ -349,9 +336,9 @@ def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
 
     for level in range(SA_LEVELS):
         kt = _kt((SA_T_INIT - level * SA_ALPHA) * t_scale)
-        if free:
-            # the free walk: the first draw of every step fits
-            for kind in steps:
+        for kind in steps:
+            if free:
+                # every move fits: the first draw is the move
                 a = int(rnd() * n)
                 if kind == 0:
                     b = n
@@ -361,34 +348,7 @@ def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
                         b += 1
                     if kind == 2 and is_off[a] == is_off[b]:
                         a = b = n  # swap of equal bits: the state itself
-                if a == b:
-                    val, accept = cur_val, True
-                else:
-                    val = cur_val + dv[a] + dv[b]
-                    gap = val - cur_val
-                    if gap > tie:
-                        accept = True
-                    elif gap < -tie:
-                        accept = _downhill_accept(cur_val, val, kt, rnd)
-                    else:
-                        # zero weights leave the exact sum unchanged
-                        accept = dv[a] == dv[b] == 0.0 or _tie_accept(
-                            current, current ^ bit[a] ^ bit[b], weights, kt, rnd
-                        )
-                    if accept:
-                        current ^= bit[a] ^ bit[b]
-                        cur_val = val
-                        dv[a], is_off[a] = -dv[a], not is_off[a]
-                        dv[b], is_off[b] = -dv[b], not is_off[b]
-                if val >= best_lo:
-                    cand = current if accept else current ^ bit[a] ^ bit[b]
-                    if val > best_val + tie or cand != best and _beats(cand, best, weights):
-                        # max: an exact tie-break may pick a value a few ulps low
-                        best, best_val = cand, max(val, best_val)
-                        best_lo = best_val - tie
-        else:
-            # the bound walk: draws are tested against the capacity
-            for kind in steps:
+            else:
                 moves = cache.get((current << 2) | kind) if cache else None
                 if moves is None:
                     for _ in draws:
@@ -428,30 +388,39 @@ def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
                         continue
                     a, b = moves[int(rnd() * len(moves))]
                     lv = cur_load + dl[a] + dl[b]
-                if a == b:
-                    val, accept = cur_val, True
+            if a == b:
+                val, accept = cur_val, True
+            else:
+                val = cur_val + dv[a] + dv[b]
+                gap = val - cur_val
+                if gap > tie:
+                    accept = True
+                elif gap < -tie:
+                    accept = _downhill_accept(cur_val, val, kt, rnd)
                 else:
-                    val = cur_val + dv[a] + dv[b]
-                    gap = val - cur_val
-                    if gap > tie:
-                        accept = True
-                    elif gap < -tie:
-                        accept = _downhill_accept(cur_val, val, kt, rnd)
-                    else:
-                        accept = dv[a] == dv[b] == 0.0 or _tie_accept(
-                            current, current ^ bit[a] ^ bit[b], weights, kt, rnd
-                        )
-                    if accept:
-                        current ^= bit[a] ^ bit[b]
-                        cur_val, cur_load = val, lv
-                        dv[a], is_off[a] = -dv[a], not is_off[a]
-                        dv[b], is_off[b] = -dv[b], not is_off[b]
+                    # zero weights leave the exact sum unchanged; otherwise
+                    # decide on the exact sums of both states
+                    accept = dv[a] == dv[b] == 0.0
+                    if not accept:
+                        now = _ascending_sum(current, 0.0, weights)
+                        then = _ascending_sum(current ^ bit[a] ^ bit[b], 0.0, weights)
+                        accept = then >= now or _downhill_accept(now, then, kt, rnd)
+                if accept:
+                    current ^= bit[a] ^ bit[b]
+                    cur_val = val
+                    dv[a], is_off[a] = -dv[a], not is_off[a]
+                    dv[b], is_off[b] = -dv[b], not is_off[b]
+                    if not free:
+                        cur_load = lv
                         dl[a], dl[b] = -dl[a], -dl[b]
-                if val >= best_lo:
-                    cand = current if accept else current ^ bit[a] ^ bit[b]
-                    if val > best_val + tie or cand != best and _beats(cand, best, weights):
-                        best, best_val = cand, max(val, best_val)
-                        best_lo = best_val - tie
+            if val >= best_lo:
+                cand = current if accept else current ^ bit[a] ^ bit[b]
+                if val > best_val + tie or cand != best and (
+                    _ascending_sum(cand, 0.0, weights) > _ascending_sum(best, 0.0, weights)
+                ):
+                    # max: an exact tie-break may pick a value a few ulps low
+                    best, best_val = cand, max(val, best_val)
+                    best_lo = best_val - tie
         # diversify: restart the walk from a kicked copy of the best
         current = _kick(best, n, SA_SHAKE_FLIP_PROB, rnd)
         cur_load, cur_val = rebuild(current)

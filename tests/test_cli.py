@@ -433,6 +433,30 @@ def test_unknown_method_is_an_error(small_config, tmp_path, capsys):
             "pricing.electricity_profile[1]",
             id="huge-profile-entry",
         ),
+        # 2^70 is a finite double, but no int64 demand count
+        pytest.param(
+            "stations: [{kind: macro}, {kind: micro, rb_capacity: 1180591620717411303424}]",
+            "stations[1].rb_capacity must lie in (0, 2^53], got 1180591620717411303424",
+            id="2^70-rb_capacity",
+        ),
+        pytest.param(
+            "mbs_capacity_limit: 0.5",
+            "mbs_capacity_limit 0.5 is below the macro's peak load 1.0, which is "
+            "traffic.scale[0]",
+            id="limit-below-macro-peak",
+        ),
+        # refused before the CSV is opened: a.csv does not exist
+        pytest.param(
+            "traffic: {source: csv, csv_path: a.csv, assignment: {1: 5}}",
+            "traffic.assignment[1] names station 5, but there is 1 station",
+            id="assignment-to-unknown-station",
+        ),
+        pytest.param(
+            "stations: [{kind: macro}, {kind: micro}]\n"
+            "traffic: {source: csv, csv_path: a.csv, assignment: {1: 0}}",
+            "traffic.assignment assigns no grid to stations [1]",
+            id="station-without-grid",
+        ),
     ],
 )
 def test_mistyped_config_value_is_a_one_line_error(tmp_path, capsys, yaml_text, key):

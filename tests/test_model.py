@@ -68,6 +68,14 @@ class TestBaseStationValidation:
                 rb_capacity=50, p_sleep=56.0,
             )
 
+    @pytest.mark.parametrize("rb_capacity", [0, 2**53 + 1, 2**70])
+    def test_rejects_rb_capacity_outside_its_range(self, rb_capacity):
+        # up to 2^53 every demand floor(beta * load * rb_capacity) is an int64
+        message = f"^rb_capacity must lie in {re.escape('(0, 2^53]')}, got {rb_capacity}$"
+        with pytest.raises(ConfigError, match=message):
+            BaseStation(BsKind.MICRO, 56.0, 2.6, 6.3, rb_capacity, p_sleep=39.0)
+        assert BaseStation(BsKind.MICRO, 56.0, 2.6, 6.3, 2**53, p_sleep=39.0).rb_capacity == 2**53
+
     def test_small_cell_needs_sleep_power(self):
         with pytest.raises(ConfigError):
             BaseStation(

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 import re
 import warnings
 from pathlib import Path
@@ -493,11 +494,46 @@ class TestConfigSchema:
             ({"pricing": {"electricity_profile": [1.0, -1.0]}},
              "pricing.electricity_profile[1] must be positive, got -1.0"),
             ("grid: {}", "config must be a mapping, got 'grid: {}'"),
+            ({"stations": [{"kind": "macro"}, {"kind": "rrh", "rb_capacity": 2**53 + 1}]},
+             "stations[1].rb_capacity must lie in (0, 2^53], got 9007199254740993"),
+            ({"traffic": {"scale": [0.5]}, "mbs_capacity_limit": 0.25},
+             "mbs_capacity_limit 0.25 is below the macro's peak load 0.5, which is "
+             "traffic.scale[0] (1 when traffic.scale is null)"),
+            ({"traffic": {"source": "csv", "csv_path": "a.csv", "assignment": {1: 0, 2: -1}}},
+             "traffic.assignment[2] names station -1, but there is 1 station"),
+            ({"stations": [{"kind": "macro"}, {"kind": "rrh"}, {"kind": "rrh"}],
+              "traffic": {"source": "csv", "csv_path": "a.csv", "assignment": {1: 1, 2: 3}}},
+             "traffic.assignment[2] names station 3, but there are 3 stations"),
+            ({"stations": [{"kind": "macro"}, {"kind": "rrh"}, {"kind": "rrh"}],
+              "traffic": {"source": "csv", "csv_path": "a.csv", "assignment": {1: 1}}},
+             "traffic.assignment assigns no grid to stations [0, 2]"),
         ],
     )
     def test_error_names_the_key_path(self, config, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             validate_config(config)
+
+    @pytest.mark.parametrize("scale", [None, [0.55, 1.0], [1.0, 0.3], [1, 1]])
+    def test_capacity_limit_may_equal_the_macro_peak(self, scale):
+        # normalize_series maps the macro's peak load to traffic.scale[0] exactly
+        config = {"grid": {"horizon_min": 60}, "stations": [{"kind": "macro"}, {"kind": "rrh"}],
+                  "traffic": {"scale": scale}}
+        peak = 1.0 if scale is None else float(scale[0])
+        scn = build_scenario({**config, "mbs_capacity_limit": peak})
+        assert scn.traffic[0].max() == peak == scn.mbs_capacity_limit
+        below = math.nextafter(peak, 0.0)
+        with pytest.raises(ConfigError, match=re.escape(f"mbs_capacity_limit {below!r} is below")):
+            validate_config({**config, "mbs_capacity_limit": below})
+
+    def test_rb_capacity_may_reach_two_to_the_53(self):
+        top = 2**53
+        config = {"grid": {"horizon_min": 60},
+                  "stations": [{"kind": "macro"}, {"kind": "rrh", "rb_capacity": top}]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scn = build_scenario(config)
+        assert scn.stations[1].rb_capacity == top
+        assert 0 < scn.sn_demand.max() <= top
 
     @pytest.mark.parametrize(
         "policy, entries, message",

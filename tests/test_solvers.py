@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import logging
 import math
@@ -748,6 +749,33 @@ class TestAnnealerGolden:
                 calls.clear()
                 sa_solve_slot(scenarios[name], slot, SaParams(rng_seed=seed))
                 assert calls, f"slot {slot}: no neighbourhood was enumerated"
+
+
+def day_digest(result):
+    """sha256 of one ``<off mask, hex> <revenue.total.hex()>`` line per slot."""
+    lines = "".join(
+        f"{switch.off_mask():x} {revenue.total.hex()}\n"
+        for switch, revenue in zip(result.per_slot_switch, result.per_slot_revenue)
+    )
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+# (evaluations, day_digest) of whole sa days at seed 0, recorded from the
+# annealer whose free and bound walks ran two step loops.  Busy slots of
+# both days bind, so both pin the bound walk's draws, skips and caches
+# over a day, beside the single slots above.
+SA_REFERENCE_DAY = (3812236, "14206159f7b9f047a8addc6975f70bc5ec6af6453eecf8fba1049ebdc3af8d4f")
+SA_TIGHT16_DAY = (6506273, "1191482680c8ed3a7bee59ed5becc25a27e1d0d691e4ef7728fd010186882c6b")
+
+
+class TestAnnealerDays:
+    def test_reference_day_matches_recorded_run(self, reference_sa_days):
+        result = reference_sa_days[0][0]
+        assert (result.evaluations, day_digest(result)) == SA_REFERENCE_DAY
+
+    def test_tight_day_matches_recorded_run(self):
+        result = solve_day(tight_bench_scenario(), "sa", SaParams(rng_seed=0))
+        assert (result.evaluations, day_digest(result)) == SA_TIGHT16_DAY
 
 
 class TestAnnealerMatchesOracle:
