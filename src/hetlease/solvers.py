@@ -25,9 +25,13 @@ import numbers
 import random
 import sys
 import time
-from collections.abc import Iterator, Sequence
+from array import array
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from math import exp
 from typing import ClassVar
+
+import numpy as np
 
 from .economics import _energy_revenue, _network_power, energy_factor, slot_problem
 from .economics import SlotProblem, total_revenue_slot
@@ -56,6 +60,10 @@ _ES_BLOCK_BITS = 12
 
 # random candidate draws before falling back to enumerating the neighborhood
 _RETRY_DRAWS = 32
+
+# uniforms the annealer takes from its stream at a time; each block is
+# converted once, in numpy, so a draw costs one indexed read
+_DRAW_BLOCK = 4096
 
 # relative width, against the slot's load scale, of the band around the
 # capacity limit inside which the annealer and the greedy re-decide a
@@ -146,6 +154,18 @@ def _slot_rng(seed: int, slot: int) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
+def _slot_draws(seed: int, slot: int) -> Callable[[int], np.ndarray]:
+    """``source(k)``: the next k values of ``_slot_rng(seed, slot).random()``,
+    as an array.  NumPy's legacy ``RandomState`` runs the same Mersenne
+    Twister and makes each double from two 32-bit words the same way, and
+    NumPy keeps that stream fixed, so a copy of the state gives the same
+    doubles in blocks."""
+    key = _slot_rng(seed, slot).getstate()[1]
+    stream = np.random.RandomState()
+    stream.set_state(("MT19937", key[:-1], key[-1]))
+    return stream.random_sample
+
+
 # --- neighborhood moves over the SBS bits -------------------------------
 #
 # Internally a state is an int bitmask over SBSs: bit j set means SBS
@@ -169,12 +189,12 @@ def _neighborhood_pairs(
     ]
 
 
-def _kick(mask: int, n: int, p: float, rnd) -> int:
-    """Flip each of the n low bits of ``mask`` independently with
-    probability ``p``, one ``rnd()`` draw per bit; the result may be
-    infeasible."""
-    for j in range(n):
-        if rnd() < p:
+def _kick(mask: int, p: float, draws: Sequence[float]) -> int:
+    """Flip bit j of ``mask`` where ``draws[j] < p``, for each of the
+    ``len(draws)`` low bits: with uniform draws, each flips independently
+    with probability ``p``.  The result may be infeasible."""
+    for j, u in enumerate(draws):
+        if u < p:
             mask ^= 1 << j
     return mask
 
@@ -184,12 +204,6 @@ def _kt(temperature: float) -> float:
     temperature that underflows rejects every downhill move instead of
     dividing by zero; every positive temperature is kept as is."""
     return max(temperature, math.ulp(0.0))
-
-
-def _downhill_accept(current: float, candidate: float, kt: float, rnd) -> bool:
-    """The Metropolis rule for a move that loses revenue: accept with
-    probability exp(-(current - candidate) / kt), from one ``rnd()`` draw."""
-    return rnd() < math.exp(-(current - candidate) / kt)
 
 
 def metropolis_accept(
@@ -207,9 +221,7 @@ def metropolis_accept(
         raise ValueError("temperature must be positive")
     if candidate_revenue >= current_revenue:
         return True
-    return _downhill_accept(
-        current_revenue, candidate_revenue, _kt(temperature), rng.random
-    )
+    return rng.random() < exp(-(current_revenue - candidate_revenue) / _kt(temperature))
 
 
 def _abs_sum(values: Sequence[float]) -> float:
@@ -248,9 +260,12 @@ def _every_mask_fits(row: SlotProblem) -> bool:
     )
 
 
-def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
+def _anneal(
+    row: SlotProblem, source: Callable[[int], np.ndarray]
+) -> tuple[int, int, int, int]:
     """The annealing walk on one knapsack row at the fixed schedule, drawing
-    from ``rnd``; returns (best off-mask, evaluations, skipped steps).
+    uniforms from ``source``, where ``source(k)`` returns the next k as an
+    array; returns (best off-mask, evaluations, skipped steps, draws read).
 
     The walk starts from all-on, which always fits.  Each evaluation costs
     O(1) work: delta lists hold the signed change of search value and of
@@ -260,39 +275,50 @@ def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
     ascending station order, at the start and after every shake (once per
     temperature level), so float drift never outlives a level.
 
+    The stream is read in blocks of ``_DRAW_BLOCK``, each converted once, in
+    numpy, into three sequences that share one read position: the draws u,
+    as an array of doubles, and the lists of ``int(u * n)`` and
+    ``int(u * (n - 1))``.  A move index is a read of either list; a
+    Metropolis draw, a draw from a cached list and the kick read the
+    doubles.  A new block is appended to the unread tail whenever fewer
+    draws are left than one step and a kick may read, so memory holds about
+    one block at any N.
+
     Every step draws a move, prices it, decides it and checks it for a new
     best; only the draw depends on the row.  Where ``_every_mask_fits(row)``
     holds, every move fits, so a step draws once and the walk keeps neither
     its load nor its load deltas up to date.  Otherwise a step draws
-    uniformly among the feasible moves of its neighborhood.  It first looks
-    up the state's cached feasible moves, and draws once from them or, when
-    there are none, skips the step.  Without a cache entry it redraws a
+    uniformly among the feasible moves of its neighborhood.  If the state's
+    cache entry holds that neighborhood's feasible moves, it draws once from
+    them or, when there are none, skips the step.  Otherwise it redraws a
     uniform move until one fits; after ``_RETRY_DRAWS`` misses it enumerates
     the neighborhood, caches the feasible moves, and draws from them.  Both
-    draws make the same ``rnd()`` calls on a row where every mask fits.  A
-    delta load within ``_guard_band`` of the capacity limit is re-decided by
-    the exact sum, so feasibility agrees with ``offloaded_mbs_load`` bit for
+    draws read the same uniforms on a row where every mask fits.  A delta
+    load within ``_guard_band`` of the capacity limit is re-decided by the
+    exact sum, so feasibility agrees with ``offloaded_mbs_load`` bit for
     bit.  The evaluation count equals levels x k x neighborhoods whenever
     every neighborhood stays non-empty, and only provably-empty steps are
-    skipped.  The cache holds only neighborhoods that ran out of draws, so
-    memory is O(N) for a walk on which every move fits.
+    skipped.  The cache is keyed by state, with one slot per neighborhood,
+    and the walk looks up the entry of its state only when the state
+    changes.  It holds only neighborhoods that ran out of draws, so memory
+    is O(N) plus one block for a walk on which every move fits.
 
     A value comparison (accept or new best) whose two sides lie within
     twice the guard band's relative width, measured on the weight scale, is
     decided by exact sums; this happens only for near-equal weights.  Every
-    downhill move is decided by one Metropolis rule, ``_downhill_accept``,
-    with ``_kt``'s floored kT taken once per level: outside that tie band
-    on the tracked values, inside it on the exact sums.  The one residue:
-    outside the tie band the threshold exp(gap / kT) is taken from the
-    tracked gap, which may differ from the exact gap in its last bits.  A
-    step that flips nothing, a swap of two equal bits (``(n, n)``), keeps
-    the state without the value and accept work; it still goes through the
+    move that loses value is decided by one Metropolis rule, accepted when
+    a draw u < exp(gap / kT), with ``_kt``'s floored kT taken once per
+    level and gap the change of value: the tracked one outside that tie
+    band, the exact one inside it.  The one residue: outside the tie band
+    the tracked gap may differ from the exact gap in its last bits.  A step
+    that flips nothing, a swap of two equal bits (``(n, n)``), keeps the
+    state without the value and accept work; it still goes through the
     best check, the one place a state kicked to after a level is judged.
     """
     base, cap, contrib, weights = row
     n = len(contrib)
     if n == 0:
-        return 0, 0, 0
+        return 0, 0, 0, 0
 
     k = SA_K_FACTOR * n
     # the neighborhood of every step of a level, in order
@@ -319,10 +345,12 @@ def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
             dv[j] = -weights[j] if off else weights[j]
         return _ascending_sum(mask, base, contrib), _ascending_sum(mask, 0.0, weights)
 
-    # feasible moves of the neighborhoods whose draws ran out, keyed by
-    # (state, move kind) packed into one int; an empty list is an empty
-    # neighborhood
-    cache: dict[int, list[tuple[int, int]]] = {}
+    # feasible moves of the neighborhoods whose draws ran out, one slot per
+    # move kind in the entry of their state (None: not enumerated; an empty
+    # list is an empty neighborhood); ``slots`` is the current state's entry
+    cache: dict[int, list[list[tuple[int, int]] | None]] = {}
+    no_entry = (None, None, None)
+    slots = no_entry
 
     current = 0
     cur_load, cur_val = rebuild(current)
@@ -334,29 +362,53 @@ def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
     draws = range(_RETRY_DRAWS)
     skipped = 0
 
+    # the unread draws u, int(u * n) and int(u * (n - 1)), read at ``pos``
+    # (doubles as an array: converting them to a list costs more than the
+    # reads save); a step reads at most 2 x _RETRY_DRAWS move draws, one
+    # draw from a cached list and one Metropolis draw, and a kick n
+    need = 2 * _RETRY_DRAWS + 2 + n
+    u = array("d")
+    un: list[int] = []
+    unm1: list[int] = []
+    pos = read = 0
+    last = -1  # the last read position with ``need`` draws left: none yet
+
     for level in range(SA_LEVELS):
         kt = _kt((SA_T_INIT - level * SA_ALPHA) * t_scale)
         for kind in steps:
+            if pos > last:
+                # keep the unread tail and append a block
+                block = source(max(_DRAW_BLOCK, need))
+                read += pos
+                u = u[pos:]
+                u.frombytes(block.tobytes())
+                un = un[pos:] + (block * n).astype(np.intp).tolist()
+                unm1 = unm1[pos:] + (block * nm1).astype(np.intp).tolist()
+                pos, last = 0, len(u) - need
             if free:
                 # every move fits: the first draw is the move
-                a = int(rnd() * n)
+                a = un[pos]
                 if kind == 0:
                     b = n
+                    pos += 1
                 else:
-                    b = int(rnd() * nm1)
+                    b = unm1[pos + 1]
+                    pos += 2
                     if b >= a:
                         b += 1
                     if kind == 2 and is_off[a] == is_off[b]:
                         a = b = n  # swap of equal bits: the state itself
             else:
-                moves = cache.get((current << 2) | kind) if cache else None
+                moves = slots[kind]
                 if moves is None:
                     for _ in draws:
-                        a = int(rnd() * n)
+                        a = un[pos]
                         if kind == 0:
                             b = n
+                            pos += 1
                         else:
-                            b = int(rnd() * nm1)
+                            b = unm1[pos + 1]
+                            pos += 2
                             if b >= a:
                                 b += 1
                             if kind == 2 and is_off[a] == is_off[b]:
@@ -370,7 +422,9 @@ def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
                         if lv <= cap:
                             break
                     else:
-                        moves = cache[(current << 2) | kind] = [
+                        if slots is no_entry:
+                            slots = cache[current] = [None, None, None]
+                        moves = slots[kind] = [
                             (a, b)
                             for a, b in _neighborhood_pairs(kind, is_off, n)
                             if (lv := cur_load + dl[a] + dl[b]) <= sure_fit
@@ -386,7 +440,8 @@ def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
                     if not moves:
                         skipped += 1
                         continue
-                    a, b = moves[int(rnd() * len(moves))]
+                    a, b = moves[int(u[pos] * len(moves))]
+                    pos += 1
                     lv = cur_load + dl[a] + dl[b]
             if a == b:
                 val, accept = cur_val, True
@@ -395,16 +450,20 @@ def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
                 gap = val - cur_val
                 if gap > tie:
                     accept = True
-                elif gap < -tie:
-                    accept = _downhill_accept(cur_val, val, kt, rnd)
                 else:
-                    # zero weights leave the exact sum unchanged; otherwise
-                    # decide on the exact sums of both states
-                    accept = dv[a] == dv[b] == 0.0
-                    if not accept:
-                        now = _ascending_sum(current, 0.0, weights)
-                        then = _ascending_sum(current ^ bit[a] ^ bit[b], 0.0, weights)
-                        accept = then >= now or _downhill_accept(now, then, kt, rnd)
+                    if gap >= -tie:
+                        # zero weights leave the exact sum unchanged;
+                        # otherwise take the gap of the exact sums
+                        gap = 0.0 if dv[a] == dv[b] == 0.0 else (
+                            _ascending_sum(current ^ bit[a] ^ bit[b], 0.0, weights)
+                            - _ascending_sum(current, 0.0, weights)
+                        )
+                    if gap >= 0.0:
+                        accept = True
+                    else:
+                        # the Metropolis rule, from one draw
+                        accept = u[pos] < exp(gap / kt)
+                        pos += 1
                 if accept:
                     current ^= bit[a] ^ bit[b]
                     cur_val = val
@@ -413,6 +472,7 @@ def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
                     if not free:
                         cur_load = lv
                         dl[a], dl[b] = -dl[a], -dl[b]
+                        slots = cache.get(current, no_entry)
             if val >= best_lo:
                 cand = current if accept else current ^ bit[a] ^ bit[b]
                 if val > best_val + tie or cand != best and (
@@ -422,10 +482,12 @@ def _anneal(row: SlotProblem, rnd) -> tuple[int, int, int]:
                     best, best_val = cand, max(val, best_val)
                     best_lo = best_val - tie
         # diversify: restart the walk from a kicked copy of the best
-        current = _kick(best, n, SA_SHAKE_FLIP_PROB, rnd)
+        current = _kick(best, SA_SHAKE_FLIP_PROB, u[pos : pos + n])
+        pos += n
         cur_load, cur_val = rebuild(current)
+        slots = cache.get(current, no_entry)
 
-    return best, SA_LEVELS * len(steps) - skipped, skipped
+    return best, SA_LEVELS * len(steps) - skipped, skipped, read + pos
 
 
 def sa_solve_slot(
@@ -453,7 +515,7 @@ def sa_solve_slot(
     if params is None:
         params = SaParams()
     row = slot_problem(scenario, slot)
-    best, evaluations, skipped = _anneal(row, _slot_rng(params.rng_seed, slot).random)
+    best, evaluations, skipped, _ = _anneal(row, _slot_draws(params.rng_seed, slot))
     if skipped:
         logger.debug(
             "slot %d: %d neighborhood steps had no feasible move", slot, skipped

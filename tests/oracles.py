@@ -9,6 +9,7 @@ otherwise.
 
 import itertools
 import math
+from fractions import Fraction
 
 
 def bs_power(p_o: float, zeta: float, p_tx: float, load: float) -> float:
@@ -33,6 +34,16 @@ def mbs_load_after(scenario, slot: int, gamma) -> float:
     for j in range(1, scenario.num_sbs + 1):
         if not gamma[j]:
             total += offload_share(scenario, j, slot)
+    return total
+
+
+def exact_load(base: float, contrib, mask: int) -> Fraction:
+    """Macro load of an off-mask, ``base`` plus ``contrib[j]`` for every set
+    bit j, as an exact rational: no addition rounds."""
+    total = Fraction(base)
+    for j, share in enumerate(contrib):
+        if mask >> j & 1:
+            total += Fraction(share)
     return total
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +12,7 @@ from hetlease import (
     reference_scenario,
     slot_problem,
 )
-from hetlease.feasibility import CONSERVATION_TOL
+from hetlease.feasibility import CONSERVATION_TOL, _ascending_sum
 
 import oracles
 from conftest import build_tiny, switch_off
@@ -88,3 +90,51 @@ def test_report_carries_capacity_limit():
     report = is_feasible(scn, 0, switch_off(1, 1))
     assert report.capacity_limit == 0.8
     assert not report.feasible
+
+
+def random_load_row(rng, n):
+    """A seeded (base, contributions) row: most contributions in [0, 0.1),
+    the rest zero, subnormal or negative, with at least one zero and one
+    subnormal."""
+    def share():
+        kind = rng.random()
+        if kind < 0.6:
+            return rng.uniform(0.0, 0.1)
+        if kind < 0.75:
+            return 0.0
+        if kind < 0.9:
+            return rng.randint(1, 1 << 52) * 5e-324
+        return -rng.uniform(0.0, 0.05)
+
+    contrib = [share() for _ in range(n)]
+    zero, subnormal = rng.sample(range(n), 2)
+    contrib[zero], contrib[subnormal] = 0.0, rng.randint(1, 1 << 52) * 5e-324
+    return rng.uniform(0.0, 0.6), contrib
+
+
+@pytest.mark.parametrize("n", [12, 16, 64, 128])
+def test_summed_loads_stay_within_one_rounding_per_addition(n):
+    # the premise of the solvers' guard band: a load that made k additions
+    # is within k x eps x (|base| + sum of |contributions|) of the exact
+    # sum, whether it is the ascending sum or a load tracked by signed
+    # per-cell deltas from one, as the annealer's is
+    rng = random.Random(n)
+    eps = Fraction(sys.float_info.epsilon)
+    for _ in range(4):
+        base, contrib = random_load_row(rng, n)
+        assert 0.0 in contrib and any(0.0 < abs(c) < 2.3e-308 for c in contrib)
+        scale = abs(Fraction(base)) + sum(abs(Fraction(c)) for c in contrib)
+        masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(30)]
+        for mask in masks:
+            load = _ascending_sum(mask, base, contrib)
+            additions = mask.bit_count()
+            exact = oracles.exact_load(base, contrib, mask)
+            assert abs(Fraction(load) - exact) <= additions * eps * scale
+            # a walk of 3n one- and two-cell flips, each added as deltas
+            for _ in range(3 * n):
+                for j in rng.sample(range(n), rng.randint(1, 2)):
+                    load += -contrib[j] if mask >> j & 1 else contrib[j]
+                    mask ^= 1 << j
+                    additions += 1
+            exact = oracles.exact_load(base, contrib, mask)
+            assert abs(Fraction(load) - exact) <= additions * eps * scale

@@ -72,34 +72,44 @@ def moves_from_the_optimum(monkeypatch, contrib, cap, positive=0, seed=0):
 
     Weight j is +2^j for the cells in the mask ``positive`` and -2^j for
     the others, so the optimum is ``positive`` and every move from it loses
-    exactly the sum of 2^j over the cells it flips.  The downhill Metropolis
-    rule is replaced by one that records that loss and rejects: once at
+    exactly the sum of 2^j over the cells it flips.  kT is patched to 1 and
+    the Metropolis rule's ``exp`` to one that records the loss, minus its
+    argument, and returns 0, so every downhill move is rejected: once at
     the optimum the walk stays there, and with the shake's flip probability
-    patched to 0 every level restarts from it (the kick still draws once
-    per bit, so the random stream is unchanged).  From the optimum each
-    one-cell and two-cell step is recorded; a swap is recorded only when it
-    exchanges cells of both kinds.
+    patched to 0 every level restarts from it (the kick still reads one
+    draw per bit and a rejected move its Metropolis draw, so the random
+    stream is unchanged).  A walk that starts at the optimum (``positive``
+    0) is recorded from its first level, any other from its second, once
+    the first has climbed to the optimum.  Each one-cell and two-cell step
+    is recorded; a swap is recorded only when it exchanges cells of both
+    kinds.
     """
     n = len(contrib)
     weights = [float(1 << j) if positive >> j & 1 else -float(1 << j) for j in range(n)]
-    top = sum(w for w in weights if w > 0)
     drawn, enumerated = [], []
+    levels = 0
 
-    def record_and_reject(current, candidate, kt, rnd):
-        if current == top:
-            drawn.append(int(current - candidate))
-        return False
+    def unit_kt(temperature):
+        nonlocal levels
+        levels += 1
+        return 1.0
+
+    def record_and_reject(x):
+        if levels > (1 if positive else 0):
+            drawn.append(int(-x))
+        return 0.0
 
     def counting_pairs(kind, is_off, n):
         enumerated.append(kind)
         return real_pairs(kind, is_off, n)
 
     real_pairs = solvers._neighborhood_pairs
-    monkeypatch.setattr(solvers, "_downhill_accept", record_and_reject)
+    monkeypatch.setattr(solvers, "_kt", unit_kt)
+    monkeypatch.setattr(solvers, "exp", record_and_reject)
     monkeypatch.setattr(solvers, "_neighborhood_pairs", counting_pairs)
     monkeypatch.setattr(solvers, "SA_SHAKE_FLIP_PROB", 0.0)
     row = SlotProblem(0.0, cap, contrib, weights)
-    best, evaluations, _ = solvers._anneal(row, solvers._slot_rng(seed, 0).random)
+    best, evaluations, _, _ = solvers._anneal(row, solvers._slot_draws(seed, 0))
     assert best == positive
     return drawn, enumerated, evaluations
 
@@ -139,8 +149,7 @@ class TestNeighborhoodMoves:
         off = 0b101001
         drawn, _, _ = moves_from_the_optimum(monkeypatch, [0.1] * 6, 1.0, positive=off)
         # between two one-cell moves come the two-cell move, then the swap
-        # when it exchanged cells of both kinds; the first group may start
-        # mid-iteration, before the walk reached the optimum
+        # when it exchanged cells of both kinds
         starts = [i for i, m in enumerate(drawn) if m.bit_count() == 1]
         swaps = []
         for i, j in zip(starts[1:], starts[2:] + [len(drawn)]):
@@ -214,24 +223,63 @@ class TestNeighborhoodMoves:
 class TestShake:
     """``_kick``, the annealer's restart from a kicked copy of the best."""
 
+    @staticmethod
+    def draws(rng, n):
+        return [rng.random() for _ in range(n)]
+
     def test_zero_probability_is_identity(self):
         rng = random.Random(8)
-        assert solvers._kick(0b1000000010, 10, 0.0, rng.random) == 0b1000000010
+        assert solvers._kick(0b1000000010, 0.0, self.draws(rng, 10)) == 0b1000000010
 
     def test_unit_probability_complements(self):
         # every SBS bit flips, and nothing above them: the macro is not a bit
         rng = random.Random(9)
-        assert solvers._kick(0b1000000010, 10, 1.0, rng.random) == 0b0111111101
+        assert solvers._kick(0b1000000010, 1.0, self.draws(rng, 10)) == 0b0111111101
 
     def test_flip_count_matches_binomial_mean(self):
         rng = random.Random(10)
         n, p, trials = 12, 0.2, 10_000
         flips = sum(
-            solvers._kick(0, n, p, rng.random).bit_count() for _ in range(trials)
+            solvers._kick(0, p, self.draws(rng, n)).bit_count() for _ in range(trials)
         )
         mean = trials * n * p
         sigma = math.sqrt(trials * n * p * (1 - p))
         assert abs(flips - mean) < 3 * sigma
+
+
+class TestDrawStream:
+    """``_slot_draws``, the annealer's random stream read in blocks."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_blocks_continue_the_slot_rng_stream(self, seed):
+        # uneven splits, empty and one-draw blocks included, and one block
+        # longer than the annealer's
+        for slot in (0, 5, 89, 143):
+            rng = solvers._slot_rng(seed, slot)
+            source = solvers._slot_draws(seed, slot)
+            for k in (0, 1, 7, 0, 1, 66, solvers._DRAW_BLOCK + 3, 13, 1):
+                block = source(k)
+                assert block.dtype == np.float64 and block.shape == (k,)
+                assert block.tolist() == [rng.random() for _ in range(k)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 12, 63, 64, 127, 128, 1023, 1024])
+    def test_block_move_indices_are_int_of_the_product(self, m):
+        top = math.nextafter(1.0, 0.0)
+        u = np.concatenate([[0.0, top, 0.5], solvers._slot_draws(0, m)(4096)])
+        assert (u * m).astype(np.intp).tolist() == [int(x * m) for x in u.tolist()]
+        # the largest draw still picks the last of m indices
+        assert int(top * m) == m - 1
+
+    @pytest.mark.parametrize("block", [1, 67, 100, 1000])
+    def test_walk_does_not_depend_on_the_block_size(self, monkeypatch, block):
+        # a block below one step's worst case is raised to it, so each
+        # refill splits the stream at another place
+        monkeypatch.setattr(solvers, "_DRAW_BLOCK", block)
+        walks = {walk[:3]: walk[3:] for walk in SA_WALKS}
+        for name, scn, slot in (("ref", reference_scenario(), 0),
+                                ("b16", bench_scenario(16, 7), 60)):
+            row = slot_problem(scn, slot)
+            assert anneal_counting_draws(row, slot) == walks[name, slot, "default"]
 
 
 class TestMetropolis:
@@ -483,8 +531,8 @@ SA_TUNED = [
 ]
 
 
-# (scenario, slot, schedule, off mask, evaluations, skipped steps, rnd()
-# draws) of ``_anneal`` on the slot's knapsack row with ``_slot_rng(0,
+# (scenario, slot, schedule, off mask, evaluations, skipped steps, draws)
+# of ``_anneal`` on the slot's knapsack row with the stream of ``_slot_rng(0,
 # slot)``, recorded from the annealer whose every step ran the value and
 # accept block, flips or not, and tracked the macro load on every slot.
 # On every b16 and b64 slot every mask fits; the draw count pins the walk
@@ -505,22 +553,14 @@ SA_WALKS = [
 
 def anneal_counting_draws(row, slot):
     """``_anneal`` on ``row`` with the slot's random stream at seed 0, as
-    (best off-mask, evaluations, skipped steps, rnd() draws)."""
-    stream = solvers._slot_rng(0, slot).random
-    draws = 0
-
-    def rnd():
-        nonlocal draws
-        draws += 1
-        return stream()
-
-    return (*solvers._anneal(row, rnd), draws)
+    (best off-mask, evaluations, skipped steps, draws read)."""
+    return solvers._anneal(row, solvers._slot_draws(0, slot))
 
 
 # Rows at the edge of "every mask fits" (all contributions non-negative
 # and all-off's ascending sum within capacity), recorded like SA_WALKS on
 # slot 0: (row, every mask fits, all-off fits, off mask, evaluations,
-# skipped steps, rnd() draws)
+# skipped steps, draws)
 EDGE_BASE, EDGE_CONTRIB = 0.1, [0.3, 0.2, 0.15, 0.1, 0.05]
 EDGE_CAP = solvers._ascending_sum((1 << 5) - 1, EDGE_BASE, EDGE_CONTRIB)
 EDGE_WEIGHTS = [0.5, 0.25, 0.75, 0.125, 0.375]
@@ -645,15 +685,18 @@ class TestAnnealerGolden:
         """``sa_solve_slot`` on ``scn``'s ``slot``, checking that every
         downhill decision gets its level's kT, ``boltzmann_k`` x
         temperature, bit for bit: a kT of other bits flips a decision only
-        when a draw lands between the two thresholds."""
+        when a draw lands between the two thresholds.  ``_kt`` is wrapped to
+        return a float that records itself whenever a gap is divided by it,
+        which only the Metropolis rule does."""
         kts = []
-        real = solvers._downhill_accept
+        real = solvers._kt
 
-        def recording(current, candidate, kt, rnd):
-            kts.append(kt)
-            return real(current, candidate, kt, rnd)
+        class RecordingKt(float):
+            def __rtruediv__(self, gap):
+                kts.append(float(self))
+                return gap / float(self)
 
-        monkeypatch.setattr(solvers, "_downhill_accept", recording)
+        monkeypatch.setattr(solvers, "_kt", lambda t: RecordingKt(real(t)))
         result = sa_solve_slot(scn, slot, SaParams(rng_seed=seed))
 
         weights = slot_problem(scn, slot).weights
@@ -726,13 +769,13 @@ class TestAnnealerGolden:
         # {0, 1, 2}, where every move that flips a bit loses or overflows
         # and the swap neighbourhood holds only stays.  A stay is the only
         # step that judges the state the walk is in.
-        monkeypatch.setattr(solvers, "_downhill_accept", lambda *args: False)
-        monkeypatch.setattr(solvers, "_kick", lambda mask, n, p, rnd: 0b0111)
+        monkeypatch.setattr(solvers, "exp", lambda x: 0.0)
+        monkeypatch.setattr(solvers, "_kick", lambda mask, p, draws: 0b0111)
         row = SlotProblem(0.0, 1.0, [0.3, 0.3, 0.3, 1.0], [1.0, 1.0, 1.0, 2.5])
         # two levels of one iteration each
         monkeypatch.setattr(solvers, "SA_LEVELS", 2)
         monkeypatch.setattr(solvers, "SA_K_FACTOR", 1)
-        best, _, _ = solvers._anneal(row, lambda: 0.99)
+        best, _, _, _ = solvers._anneal(row, lambda k: np.full(k, 0.99))
         assert best == 0b0111
 
     def test_tight_case_exercises_the_enumeration_fallback(self, scenarios, monkeypatch):
@@ -778,6 +821,26 @@ class TestAnnealerDays:
         assert (result.evaluations, day_digest(result)) == SA_TIGHT16_DAY
 
 
+@pytest.mark.parametrize("name,slot", [("b64", 12), ("tight128", 89)])
+def test_sa_slot_peaks_below_one_mebibyte(name, slot):
+    # b64 slot 12 fits every mask, so the walk holds O(N) lists and one
+    # block of draws.  Tight N = 128 slot 89 binds: its neighborhoods run
+    # out of draws and are enumerated, so the cached moves sit beside the
+    # block.  A buffer of a whole slot's draws would take about 20 MB at
+    # N = 64.  (Slot 92 of that day enumerates far more neighborhoods and
+    # peaks at about 1.2 MiB, nearly all of it listed pairs and cached
+    # moves.)
+    scn = bench_scenario(64, 7) if name == "b64" else tight_bench_scenario(128)
+    tracemalloc.start()
+    try:
+        _, _, evaluations = sa_solve_slot(scn, slot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert evaluations == (190080 if name == "b64" else 3840)
+    assert peak < 1 << 20
+
+
 class TestAnnealerMatchesOracle:
     def test_random_tiny_instances(self):
         instances = random_greedy_instances(140, seed=23)
@@ -820,7 +883,7 @@ def assert_kernels_match_the_solvers(scn, row):
         assert solvers._greedy(row, ranked) == switch.off_mask()
     for seed in range(3):
         switch, _, evaluations = sa_solve_slot(scn, 0, SaParams(rng_seed=seed))
-        best, count, _ = solvers._anneal(row, solvers._slot_rng(seed, 0).random)
+        best, count, _, _ = solvers._anneal(row, solvers._slot_draws(seed, 0))
         assert (best, count) == (switch.off_mask(), evaluations)
 
 
