@@ -4,12 +4,14 @@ Why annealing: the cost of certainty
 
 Exhaustive search pays 2^N objective evaluations per slot; annealing
 pays a fixed 99 levels x 10N iterations x 3 neighborhoods.  This sweep
-measures both on the benchmark instance family.  The crossover arrives
-quickly: at N = 16 the oracle needs 65,536 evaluations per slot against
-annealing's 4,752 - and the gap doubles with every extra station.
+measures both on the benchmark instance family.  The crossover comes at
+N = 16: at N = 15 the oracle needs 32,768 evaluations per slot against
+annealing's 44,550, at N = 16 65,536 against 47,520 - and from there the
+gap doubles with every extra station.
 
-Sizes beyond 10 make the exhaustive rows slow (N = 16 alone runs for
-about two minutes); trim or extend ``SIZES`` to taste.
+Sizes beyond 10 make the exhaustive rows slow (at N = 16 the exhaustive
+day alone takes about half a minute on a 2-vCPU host); trim or extend
+``SIZES`` to taste.
 """
 
 from hetlease import runtime_scaling, write_bench_csv

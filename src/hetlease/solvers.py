@@ -35,7 +35,7 @@ import numpy as np
 
 from .economics import _energy_revenue, _network_power, energy_factor, slot_problem
 from .economics import SlotProblem, total_revenue_slot
-from .feasibility import OffloadReport, _ascending_sum, _conserved, _demand_after
+from .feasibility import OffloadReport, _ascending_sum, _conserved
 from .feasibility import is_feasible
 from .model import (
     EnumerationCapError,
@@ -53,9 +53,10 @@ logger = logging.getLogger(__name__)
 # exhaustive search hard cap: 2^24 states per slot is the most we ever enumerate
 ES_MAX_SBS = 24
 
-# exhaustive search tables the loads of every mask of this many low bits
+# exhaustive search tables the sums of every mask of this many low bits
 # once, then reuses that table for each block of masks sharing their high
-# bits: 2^12 floats at any N, where a full table at N = 24 takes ~0.5 GB
+# bits: 2^12 entries at any N, where a full table of floats at N = 24
+# takes ~0.5 GB
 _ES_BLOCK_BITS = 12
 
 # random candidate draws before falling back to enumerating the neighborhood
@@ -92,6 +93,38 @@ def _ascending_sums(n: int, start: float, terms: Sequence[float]) -> Iterator[fl
             if bit == "1":
                 block = [x + term for x in block]
         yield from block
+
+
+def _served_loads(loads: Sequence[float]) -> Callable[[int], float]:
+    """``served(mask)``: ``_demand_after(loads, _off_bits(mask, n))`` for
+    every off-mask over the ``n = len(loads) - 1`` SBSs, bit for bit, read
+    from exact integers instead of two lists and two ``fsum`` calls.
+
+    Each SBS load is ``p / d`` by ``float.as_integer_ratio`` and is put over
+    the largest ``d``, a power of two.  The integer sums of every subset of
+    the low ``_ES_BLOCK_BITS`` loads, and of every subset of the rest, are
+    tabled once by the doubling recurrence, so a mask's off sum is two reads
+    and its on sum the whole less that.  CPython rounds an ``int / int``
+    quotient correctly, as ``math.fsum`` rounds its sum, so each quotient is
+    the double ``fsum`` gives.  The tables hold at most 2^12 integers each.
+    """
+    ratios = [x.as_integer_ratio() for x in loads[1:]]
+    den = max((d for _, d in ratios), default=1)
+    scaled = [p * (den // d) for p, d in ratios]
+    whole = sum(scaled)
+    low = min(len(scaled), _ES_BLOCK_BITS)
+    low_off, high_off = [0], [0]
+    for j, term in enumerate(scaled):
+        table = low_off if j < low else high_off
+        table += [x + term for x in table]
+    low_mask = (1 << low) - 1
+    macro = loads[0]
+
+    def served(mask: int) -> float:
+        off = low_off[mask & low_mask] + high_off[mask >> low]
+        return (macro + off / den) + (whole - off) / den
+
+    return served
 
 
 # The annealing schedule.  Cooling is linear: level i runs at temperature
@@ -175,18 +208,19 @@ def _slot_draws(seed: int, slot: int) -> Callable[[int], np.ndarray]:
 
 def _neighborhood_pairs(
     kind: int, is_off: Sequence[bool], n: int
-) -> list[tuple[int, int]]:
-    """Every move of one kind (0 flip one, 1 flip two, 2 swap two), listed
-    once per unordered index choice, so a uniform pick from the list has
-    the law of a uniform draw of the indices."""
+) -> Iterator[tuple[int, int]]:
+    """Every move of one kind (0 flip one, 1 flip two, 2 swap two), yielded
+    once per unordered index choice, so a uniform pick from the moves has
+    the law of a uniform draw of the indices.  Lazily: the annealer keeps
+    only the feasible moves, never the whole neighborhood at once."""
     if kind == 0:
-        return [(a, n) for a in range(n)]
+        for a in range(n):
+            yield a, n
+        return
     stay = (n, n)
-    return [
-        (a, b) if kind == 1 or is_off[a] != is_off[b] else stay
-        for a in range(n)
-        for b in range(a + 1, n)
-    ]
+    for a in range(n):
+        for b in range(a + 1, n):
+            yield (a, b) if kind == 1 or is_off[a] != is_off[b] else stay
 
 
 def _kick(mask: int, p: float, draws: Sequence[float]) -> int:
@@ -539,10 +573,11 @@ def es_solve_slot(
     Every one of the 2^N masks is visited and counted as one evaluation,
     infeasible ones included.  ``_ascending_sums`` tables give each mask's
     macro load and leasing income, and a mask over capacity stops there.  The
-    rest run the conservation test, power walk and energy pricing through the
-    helpers of ``is_feasible`` and ``energy_revenue_slot``, so verdicts and
-    totals are canonical bit for bit.  Ties go to fewer SBSs off, then the
-    lower mask.  Only the winner goes through ``total_revenue_slot``.
+    rest run the conservation test on ``_served_loads``, the served load
+    ``is_feasible`` tests, and the power walk and energy pricing through the
+    helpers of ``energy_revenue_slot``, so verdicts and totals are canonical
+    bit for bit.  Ties go to fewer SBSs off, then the lower mask.  Only the
+    winner goes through ``total_revenue_slot``.
     """
     n = scenario.num_sbs
     check_es_size(n)
@@ -553,13 +588,14 @@ def es_solve_slot(
     factor = energy_factor(scenario)
     fits = _ascending_sums(n, loads[0], record.contrib)
     leases = _ascending_sums(n, 0.0, record.lease)
+    served = _served_loads(loads)
     best_key = None
     for mask, (load, lease) in enumerate(zip(fits, leases)):
         if load > cap:
             continue
-        bits = _off_bits(mask, n)
-        if not _conserved(offered, _demand_after(loads, bits)):
+        if not _conserved(offered, served(mask)):
             continue
+        bits = _off_bits(mask, n)
         power = _network_power(mbs, record, load, bits)
         total = _energy_revenue(record, factor, power) + lease
         key = (-total, mask.bit_count(), mask)

@@ -6,6 +6,7 @@ import logging
 import math
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -45,6 +46,7 @@ from hetlease import (
 
 import hetlease.economics
 import hetlease.feasibility
+import hetlease.model
 from hetlease import solvers
 from hetlease.model import daily_breakdown
 
@@ -170,8 +172,8 @@ class TestNeighborhoodMoves:
 
     def test_degenerate_sizes_rejected(self, monkeypatch):
         # a single SBS has no two-cell moves, so only one-cell steps run
-        assert solvers._neighborhood_pairs(1, [False, False], 1) == []
-        assert solvers._neighborhood_pairs(2, [False, False], 1) == []
+        assert list(solvers._neighborhood_pairs(1, [False, False], 1)) == []
+        assert list(solvers._neighborhood_pairs(2, [False, False], 1)) == []
         drawn, _, evaluations = moves_from_the_optimum(monkeypatch, [0.1], 1.0)
         assert evaluations == oracles.expected_sa_evaluations(1) == len(drawn)
         assert set(drawn) == {1}
@@ -810,6 +812,22 @@ def day_digest(result):
 SA_REFERENCE_DAY = (3812236, "14206159f7b9f047a8addc6975f70bc5ec6af6453eecf8fba1049ebdc3af8d4f")
 SA_TIGHT16_DAY = (6506273, "1191482680c8ed3a7bee59ed5becc25a27e1d0d691e4ef7728fd010186882c6b")
 
+# (evaluations, day_digest) of whole es days, recorded from the exhaustive
+# search whose conservation test summed each fitting mask's loads with two
+# fsum calls: the reference day, and reference_config("dynamic", "dt")
+ES_REFERENCE_DAY = (589824, "14206159f7b9f047a8addc6975f70bc5ec6af6453eecf8fba1049ebdc3af8d4f")
+ES_DYNAMIC_DT_DAY = (589824, "fe3092a91ff192b36b6f7425190b8f6faaf48d3a3dfc691ab150685fa16f840d")
+
+
+class TestEsDays:
+    def test_reference_day_matches_recorded_run(self, reference_es_day):
+        result = reference_es_day[0]
+        assert (result.evaluations, day_digest(result)) == ES_REFERENCE_DAY
+
+    def test_dynamic_dt_day_matches_recorded_run(self):
+        result = solve_day(build_scenario(reference_config("dynamic", "dt")), "es")
+        assert (result.evaluations, day_digest(result)) == ES_DYNAMIC_DT_DAY
+
 
 class TestAnnealerDays:
     def test_reference_day_matches_recorded_run(self, reference_sa_days):
@@ -821,15 +839,15 @@ class TestAnnealerDays:
         assert (result.evaluations, day_digest(result)) == SA_TIGHT16_DAY
 
 
-@pytest.mark.parametrize("name,slot", [("b64", 12), ("tight128", 89)])
+@pytest.mark.parametrize("name,slot", [("b64", 12), ("tight128", 89), ("tight128", 92)])
 def test_sa_slot_peaks_below_one_mebibyte(name, slot):
     # b64 slot 12 fits every mask, so the walk holds O(N) lists and one
-    # block of draws.  Tight N = 128 slot 89 binds: its neighborhoods run
-    # out of draws and are enumerated, so the cached moves sit beside the
-    # block.  A buffer of a whole slot's draws would take about 20 MB at
-    # N = 64.  (Slot 92 of that day enumerates far more neighborhoods and
-    # peaks at about 1.2 MiB, nearly all of it listed pairs and cached
-    # moves.)
+    # block of draws.  Tight N = 128 slots 89 and 92 bind: their
+    # neighborhoods run out of draws and are enumerated lazily, so only the
+    # cached feasible moves sit beside the block.  Slot 92 enumerates far
+    # more neighborhoods and peaks at about 0.8 MiB, where a listing of each
+    # whole neighborhood (8,128 pairs at N = 128) took it to about 1.2 MiB.
+    # A buffer of a whole slot's draws would take about 20 MB at N = 64.
     scn = bench_scenario(64, 7) if name == "b64" else tight_bench_scenario(128)
     tracemalloc.start()
     try:
@@ -1001,6 +1019,87 @@ class TestEsLoadTable:
             tracemalloc.stop()
         assert head == [float(m) for m in range(3 << 12)]
         assert peak < 4 << 20  # a full table of 2^24 floats takes ~0.5 GB
+
+
+def served_rows(seed):
+    """One seeded load row (macro first) per n in 0..14, each load drawn
+    from zero, a plain double, a power-of-two fraction, a tiny double down
+    to 2^-1000 and a subnormal, so the common denominator reaches 2^1074."""
+    rng = random.Random(seed)
+    kinds = [
+        lambda: 0.0,
+        lambda: rng.random(),
+        lambda: rng.randrange(1, 9) / 8,
+        lambda: rng.random() * 2.0 ** -rng.randrange(1, 1001),
+        lambda: rng.randrange(1, 1 << 20) * 2.0 ** -1074,
+    ]
+    return [[rng.choice(kinds)() for _ in range(n + 1)] for n in range(15)]
+
+
+def demand_after(loads, mask):
+    """The served load ``is_feasible`` tests, from the mask's off bits."""
+    bits = hetlease.model._off_bits(mask, len(loads) - 1)
+    return hetlease.feasibility._demand_after(loads, bits)
+
+
+class TestEsServedTable:
+    @pytest.mark.parametrize("block_bits", [2, 3, 12])
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_every_mask_is_the_canonical_served_load(self, monkeypatch, block_bits, seed):
+        monkeypatch.setattr(solvers, "_ES_BLOCK_BITS", block_bits)
+        rows = served_rows(seed)
+        for loads in rows:
+            served = solvers._served_loads(loads)
+            masks = range(1 << (len(loads) - 1))
+            assert [served(m).hex() for m in masks] == [
+                demand_after(loads, m).hex() for m in masks
+            ]
+        drawn = [x for loads in rows for x in loads]
+        assert 0.0 in drawn
+        assert any(0.0 < x < sys.float_info.min for x in drawn)
+
+    def test_memory_stays_at_a_few_blocks_at_the_cap(self):
+        # one subnormal load puts every load over 2^1074, so each tabled
+        # integer takes about 170 bytes
+        rng = random.Random(3)
+        loads = [rng.random() for _ in range(ES_MAX_SBS)] + [5 * 2.0 ** -1074]
+        tracemalloc.start()
+        try:
+            served = solvers._served_loads(loads)
+            head = [served(m) for m in range(3 << 12)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [x.hex() for x in head] == [
+            demand_after(loads, m).hex() for m in range(3 << 12)
+        ]
+        assert peak < 4 << 20  # a full table of 2^24 such integers takes ~3 GB
+
+
+@pytest.mark.parametrize("name,slot", [("ref", 0), ("ref", 66), ("tight14", 78)])
+def test_es_tests_conservation_on_each_fitting_masks_served_load(monkeypatch, name, slot):
+    # the conservation verdict never fails on a valid scenario, so no es
+    # outcome would show a wrong served load; record what the test is given
+    scn = reference_scenario() if name == "ref" else tight_bench_scenario(14, 0.56)
+    n = scn.num_sbs
+    calls = []
+    real = solvers._conserved
+
+    def recording(before, after):
+        calls.append((before.hex(), after.hex()))
+        return real(before, after)
+
+    monkeypatch.setattr(solvers, "_conserved", recording)
+    es_solve_slot(scn, slot)
+    loads = scn._slot(slot).loads.tolist()
+    offered = math.fsum(loads).hex()
+    fitting = [
+        m for m in range(1 << n)
+        if offloaded_mbs_load(scn, slot, SwitchVector.from_off_mask(m, n))
+        <= scn.mbs_capacity_limit
+    ]
+    assert 0 < len(fitting) < 1 << n
+    assert calls == [(offered, demand_after(loads, m).hex()) for m in fitting]
 
 
 class TestEsMatchesOracle:
